@@ -133,6 +133,36 @@ void BM_TrainOpenSsh(benchmark::State& state) {
 }
 BENCHMARK(BM_TrainOpenSsh);
 
+// The service's training window: all 16 LogHub-style datasets with
+// preambles, one fixed salt, interleaved into 20k records (the corpus
+// tests/trainer_test.cc pins the model bytes of). Arg = training threads.
+const std::vector<std::string>& LogHubMix() {
+  static const auto* logs = new std::vector<std::string>(
+      GenerateInterleavedMix(AllDatasetSpecs(), 1250, 0x5eed));
+  return *logs;
+}
+
+void BM_TrainLogHubMix(benchmark::State& state) {
+  const auto& logs = LogHubMix();
+  const VariableReplacer replacer = VariableReplacer::Default();
+  TrainerOptions options;
+  options.num_threads = static_cast<int>(state.range(0));
+  options.preprocess.num_threads = options.num_threads;
+  const Trainer trainer(options);
+  for (auto _ : state) {
+    auto out = trainer.Train(logs, replacer);
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(logs.size()));
+}
+BENCHMARK(BM_TrainLogHubMix)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
 void BM_OnlineMatch(benchmark::State& state) {
   const auto& logs = SampleLogs();
   ByteBrainOptions options;

@@ -861,6 +861,7 @@ void GetStatsResponse::EncodeTo(std::string* out) const {
   w.PutU64(34, stats.replication_lag_records);
   w.PutU64(35, stats.replication_lag_segments);
   w.PutU32(36, stats.replica_role);
+  w.PutU32(37, stats.last_training_threads);
 }
 
 Status GetStatsResponse::DecodeFrom(std::string_view bytes) {
@@ -1010,6 +1011,9 @@ Status GetStatsResponse::DecodeFrom(std::string_view bytes) {
         break;
       case 36:
         if (!TakeU32(p, &stats.replica_role)) goto malformed;
+        break;
+      case 37:
+        if (!TakeU32(p, &stats.last_training_threads)) goto malformed;
         break;
       case 27: {
         FieldReader tr(p);

@@ -61,19 +61,21 @@ double ClusterProfile::Similarity(const EncodedLog& log,
 namespace {
 
 // Dense re-encoding of the members' tokens at the active positions:
-// tokens become small consecutive value ids so cluster profiles can use
-// array indexing instead of hash lookups in the assignment inner loop.
-// ClusterProfile (above) stays as the reference implementation exercised
-// by the unit tests.
+// each (position, token) pair becomes one slot of a flat table, numbered
+// position by position, so cluster profiles index arrays instead of
+// hashing in the assignment inner loop. ClusterProfile (above) stays as
+// the reference implementation exercised by the unit tests.
 struct DenseView {
-  // values[i * num_positions + k] = value id of members[i] at active k.
-  std::vector<uint32_t> values;
-  std::vector<uint32_t> cardinality;  // distinct values per active position
+  // slots[i * num_positions + k] = table slot of members[i]'s token at
+  // active position k; position k owns slots [offsets[k], offsets[k+1]).
+  std::vector<uint32_t> slots;
+  std::vector<uint32_t> offsets;
   size_t num_positions = 0;
 
-  uint32_t at(size_t member_index, size_t k) const {
-    return values[member_index * num_positions + k];
+  const uint32_t* row(size_t member_index) const {
+    return &slots[member_index * num_positions];
   }
+  uint32_t num_slots() const { return offsets.back(); }
 };
 
 DenseView BuildDenseView(const std::vector<EncodedLog>& logs,
@@ -81,79 +83,150 @@ DenseView BuildDenseView(const std::vector<EncodedLog>& logs,
                          const std::vector<uint32_t>& active) {
   DenseView view;
   view.num_positions = active.size();
-  view.values.resize(members.size() * active.size());
-  view.cardinality.resize(active.size(), 0);
-  std::unordered_map<uint64_t, uint32_t> ids;
+  view.slots.resize(members.size() * active.size());
+  view.offsets.resize(active.size() + 1, 0);
+  thread_local TokenIdTable ids;
   for (size_t k = 0; k < active.size(); ++k) {
-    ids.clear();
+    ids.Reset(members.size());
+    const uint32_t base = view.offsets[k];
     for (size_t i = 0; i < members.size(); ++i) {
-      const uint64_t tok = logs[members[i]].tokens[active[k]];
-      auto [it, inserted] =
-          ids.emplace(tok, static_cast<uint32_t>(ids.size()));
-      view.values[i * active.size() + k] = it->second;
+      view.slots[i * active.size() + k] =
+          base + ids.Intern(logs[members[i]].tokens[active[k]]);
     }
-    view.cardinality[k] = static_cast<uint32_t>(ids.size());
+    view.offsets[k + 1] = base + ids.size();
   }
   return view;
 }
 
-// Cluster profile over the dense view: per-position frequency arrays.
-class DenseProfile {
+// The cluster profiles of one clustering step over the dense view, all
+// in one slot-major table: the clusters' entries for a slot are
+// adjacent, so scoring a member against every cluster reads one short
+// run per position and keeps one independent sum per cluster in flight.
+// Finalize() turns the per-slot frequencies into Eq. 2 contributions
+// w_k * f; the weights depend only on the profile, not on the log being
+// scored, so they are computed once per profile change rather than once
+// per (log, cluster, position). Every double is formed by the same
+// expression, and summed in the same position order, as the per-call
+// formula of ClusterProfile::Similarity.
+class DenseClusters {
  public:
-  explicit DenseProfile(const DenseView& view) : view_(view) {
-    offsets_.resize(view.num_positions + 1, 0);
-    for (size_t k = 0; k < view.num_positions; ++k) {
-      offsets_[k + 1] = offsets_[k] + view.cardinality[k];
-    }
-    freq_.resize(offsets_.back(), 0);
-    distinct_.resize(view.num_positions, 0);
+  explicit DenseClusters(const DenseView& view) : view_(view) {}
+
+  // Empties every profile and sets how many there are.
+  void Reset(uint32_t num_clusters) {
+    stride_ = num_clusters;
+    freq_.assign(size_t{view_.num_slots()} * stride_, 0);
+    distinct_.assign(view_.num_positions * stride_, 0);
+    sizes_.assign(stride_, 0);
+    contribution_.resize(freq_.size());
+    total_weight_.resize(stride_);
   }
 
-  void Add(size_t member_index) {
+  void Add(uint32_t c, size_t member_index) {
+    const uint32_t* row = view_.row(member_index);
     for (size_t k = 0; k < view_.num_positions; ++k) {
-      uint32_t& f = freq_[offsets_[k] + view_.at(member_index, k)];
-      if (f == 0) ++distinct_[k];
+      uint32_t& f = freq_[size_t{row[k]} * stride_ + c];
+      if (f == 0) ++distinct_[k * stride_ + c];
       ++f;
     }
-    ++size_;
+    ++sizes_[c];
   }
 
-  void Clear() {
-    std::fill(freq_.begin(), freq_.end(), 0);
-    std::fill(distinct_.begin(), distinct_.end(), 0);
-    size_ = 0;
-  }
-
-  // Eq. 2 similarity of members[member_index] to this cluster.
-  double Similarity(size_t member_index, bool use_position_importance) const {
-    if (size_ == 0 || view_.num_positions == 0) return 0.0;
-    double weighted = 0.0;
-    double total_weight = 0.0;
-    const double inv_size = 1.0 / static_cast<double>(size_);
-    for (size_t k = 0; k < view_.num_positions; ++k) {
-      const uint32_t f = freq_[offsets_[k] + view_.at(member_index, k)];
-      const double fi = static_cast<double>(f) * inv_size;
-      double wi = 1.0;
-      if (use_position_importance) {
-        const uint32_t ni = distinct_[k];
-        wi = ni <= 1 ? kConstantPositionWeight
-                     : 1.0 / static_cast<double>(ni - 1);
-      }
-      weighted += wi * fi;
-      total_weight += wi;
+  // Recomputes the contributions; call after the Add()s and before
+  // Similarities().
+  void Finalize(bool use_position_importance) {
+    inv_size_.resize(stride_);
+    for (uint32_t c = 0; c < stride_; ++c) {
+      inv_size_[c] =
+          sizes_[c] == 0 ? 0.0 : 1.0 / static_cast<double>(sizes_[c]);
+      total_weight_[c] = 0.0;
     }
-    return total_weight > 0.0 ? weighted / total_weight : 0.0;
+    weight_.resize(stride_);
+    for (size_t k = 0; k < view_.num_positions; ++k) {
+      for (uint32_t c = 0; c < stride_; ++c) {
+        double wi = 1.0;
+        if (use_position_importance) {
+          const uint32_t ni = distinct_[k * stride_ + c];
+          wi = ni <= 1 ? kConstantPositionWeight
+                       : 1.0 / static_cast<double>(ni - 1);
+        }
+        weight_[c] = wi;
+        total_weight_[c] += wi;
+      }
+      for (uint32_t s = view_.offsets[k]; s < view_.offsets[k + 1]; ++s) {
+        const size_t cell = size_t{s} * stride_;
+        for (uint32_t c = 0; c < stride_; ++c) {
+          const double fi =
+              static_cast<double>(freq_[cell + c]) * inv_size_[c];
+          contribution_[cell + c] = weight_[c] * fi;
+        }
+      }
+    }
   }
 
-  uint32_t size() const { return size_; }
+  // sims[c] = Eq. 2 similarity of members[member_index] to cluster c
+  // (0 for an empty cluster).
+  void Similarities(size_t member_index, double* sims) const {
+    const uint32_t* row = view_.row(member_index);
+    std::fill(sims, sims + stride_, 0.0);
+    for (size_t k = 0; k < view_.num_positions; ++k) {
+      const double* cell = &contribution_[size_t{row[k]} * stride_];
+      for (uint32_t c = 0; c < stride_; ++c) sims[c] += cell[c];
+    }
+    for (uint32_t c = 0; c < stride_; ++c) {
+      sims[c] = sizes_[c] == 0 || total_weight_[c] <= 0.0
+                    ? 0.0
+                    : sims[c] / total_weight_[c];
+    }
+  }
+
+  uint32_t size(uint32_t c) const { return sizes_[c]; }
+  // Distinct tokens of cluster c at active position k.
+  uint32_t distinct(uint32_t c, size_t k) const {
+    return distinct_[k * stride_ + c];
+  }
 
  private:
   const DenseView& view_;
-  std::vector<uint32_t> offsets_;
+  uint32_t stride_ = 0;  // number of clusters
   std::vector<uint32_t> freq_;
   std::vector<uint32_t> distinct_;
-  uint32_t size_ = 0;
+  std::vector<uint32_t> sizes_;
+  std::vector<double> contribution_;
+  std::vector<double> total_weight_;
+  std::vector<double> inv_size_;  // Finalize() working space
+  std::vector<double> weight_;    // Finalize() working space
 };
+
+// Stats of one cluster's members, read off its profile where possible:
+// a position constant across the parent stays constant, an active
+// position's count is the profile's, a position distinct in every
+// parent member stays distinct in every member; only the parent's other
+// confirmed-variable positions are recounted.
+PositionStats ClusterStats(const std::vector<EncodedLog>& logs,
+                           const std::vector<uint32_t>& group,
+                           const PositionStats& parent,
+                           const std::vector<uint32_t>& active,
+                           const DenseClusters& clusters, uint32_t c) {
+  PositionStats stats;
+  stats.num_logs = static_cast<uint32_t>(group.size());
+  stats.num_positions = parent.num_positions;
+  stats.distinct.resize(parent.num_positions);
+  size_t k = 0;
+  for (uint32_t pos = 0; pos < parent.num_positions; ++pos) {
+    if (k < active.size() && active[k] == pos) {
+      stats.distinct[pos] = clusters.distinct(c, k++);
+    } else if (parent.distinct[pos] == 1) {
+      stats.distinct[pos] = 1;
+    } else if (parent.distinct[pos] == parent.num_logs) {
+      stats.distinct[pos] = stats.num_logs;
+    } else {
+      stats.distinct[pos] = CountDistinct(logs, group, pos);
+    }
+  }
+  ClassifyPositions(&stats);
+  return stats;
+}
 
 // Positions still unresolved across `members`: constants carry no signal
 // and confirmed-variable positions must not drive splits (splitting on a
@@ -211,33 +284,48 @@ ClusterOutcome SingleClusteringProcess(const std::vector<EncodedLog>& logs,
                                        double parent_saturation,
                                        const ClusterOptions& options,
                                        Rng* rng) {
+  return SingleClusteringProcess(logs, members,
+                                 ComputePositionStats(logs, members),
+                                 parent_saturation, options, rng);
+}
+
+ClusterOutcome SingleClusteringProcess(const std::vector<EncodedLog>& logs,
+                                       const std::vector<uint32_t>& members,
+                                       const PositionStats& parent_stats,
+                                       double parent_saturation,
+                                       const ClusterOptions& options,
+                                       Rng* rng) {
   ClusterOutcome outcome;
   if (members.size() < 2) return outcome;  // nothing to split
-
-  const PositionStats parent_stats = ComputePositionStats(logs, members);
   if (parent_stats.fully_resolved()) return outcome;  // saturated already
 
   if (options.early_stop && TryEarlyStop(members, parent_stats, &outcome)) {
+    for (const auto& cluster : outcome.clusters) {
+      outcome.stats.push_back(ComputePositionStats(logs, cluster));
+    }
     return outcome;
   }
 
   const std::vector<uint32_t> active = ActivePositions(parent_stats);
   const DenseView view = BuildDenseView(logs, members, active);
+  const bool importance = options.use_position_importance;
+  std::vector<double> sims;
 
   // --- Seeding -------------------------------------------------------
   // First seed uniformly at random; second is the member farthest from
   // the first (K-Means++ principle), or random under the ablation.
   const size_t seed1 = rng->NextBelow(members.size());
-  DenseProfile seed_profile(view);
-  seed_profile.Add(seed1);
-
   size_t seed2 = seed1;
   if (options.kmeanspp_seeding) {
+    DenseClusters seed_profile(view);
+    seed_profile.Reset(1);
+    seed_profile.Add(0, seed1);
+    seed_profile.Finalize(importance);
     double best = 2.0;  // similarity in [0,1]; pick the minimum
     for (size_t i = 0; i < members.size(); ++i) {
       if (i == seed1) continue;
-      const double sim =
-          seed_profile.Similarity(i, options.use_position_importance);
+      double sim;
+      seed_profile.Similarities(i, &sim);
       if (sim < best) {
         best = sim;
         seed2 = i;
@@ -252,23 +340,29 @@ ClusterOutcome SingleClusteringProcess(const std::vector<EncodedLog>& logs,
   // assignment[i]: cluster index of members[i].
   std::vector<uint32_t> assignment(members.size(), 0);
   uint32_t num_clusters = 2;
-  std::vector<DenseProfile> profiles;
-  profiles.reserve(8);
-  profiles.emplace_back(view);
-  profiles.emplace_back(view);
-  profiles[0].Add(seed1);
-  profiles[1].Add(seed2);
+  DenseClusters profiles(view);
+  profiles.Reset(num_clusters);
+  profiles.Add(0, seed1);
+  profiles.Add(1, seed2);
+  profiles.Finalize(importance);
 
+  // top_sim[i]: member i's highest similarity over the non-empty
+  // clusters in the last assign_all(), which the expansion step needs
+  // too while the profiles are still the ones that pass scored against.
+  std::vector<double> top_sim(members.size());
   std::vector<uint32_t> tie_buffer;
   auto assign_all = [&]() -> bool {
     bool changed = false;
+    sims.resize(num_clusters);
     for (size_t i = 0; i < members.size(); ++i) {
+      profiles.Similarities(i, sims.data());
       double best = -1.0;
+      double top = 0.0;
       tie_buffer.clear();
       for (uint32_t c = 0; c < num_clusters; ++c) {
-        if (profiles[c].size() == 0) continue;
-        const double sim =
-            profiles[c].Similarity(i, options.use_position_importance);
+        if (profiles.size(c) == 0) continue;
+        const double sim = sims[c];
+        top = std::max(top, sim);
         if (sim > best + kTieEpsilon) {
           best = sim;
           tie_buffer.clear();
@@ -285,6 +379,7 @@ ClusterOutcome SingleClusteringProcess(const std::vector<EncodedLog>& logs,
         // random so no cluster systematically absorbs the overflow.
         chosen = tie_buffer[rng->NextBelow(tie_buffer.size())];
       }
+      top_sim[i] = top;
       if (assignment[i] != chosen) {
         assignment[i] = chosen;
         changed = true;
@@ -294,9 +389,19 @@ ClusterOutcome SingleClusteringProcess(const std::vector<EncodedLog>& logs,
   };
 
   auto rebuild_profiles = [&]() {
-    for (auto& p : profiles) p.Clear();
+    profiles.Reset(num_clusters);
     for (size_t i = 0; i < members.size(); ++i) {
-      profiles[assignment[i]].Add(i);
+      profiles.Add(assignment[i], i);
+    }
+    profiles.Finalize(importance);
+  };
+
+  // groups[c]: the members of cluster c as of the last collect_groups().
+  std::vector<std::vector<uint32_t>> groups;
+  auto collect_groups = [&]() {
+    groups.assign(num_clusters, {});
+    for (size_t i = 0; i < members.size(); ++i) {
+      groups[assignment[i]].push_back(members[i]);
     }
   };
 
@@ -307,20 +412,21 @@ ClusterOutcome SingleClusteringProcess(const std::vector<EncodedLog>& logs,
   assign_all();
   rebuild_profiles();
   while (true) {
-    bool changed = false;
+    // Whether top_sim was scored against the current profiles.
+    bool scored_current = false;
     for (int it = 0; it < 2 && iterations_left > 0; ++it, --iterations_left) {
-      changed = assign_all();
+      if (!assign_all()) {
+        // Nothing moved, so the profiles already match the assignment.
+        scored_current = true;
+        break;
+      }
       rebuild_profiles();
-      if (!changed) break;
     }
 
     if (!options.ensure_saturation_increase) break;
 
     // Find a cluster whose saturation does not improve on the parent.
-    std::vector<std::vector<uint32_t>> groups(num_clusters);
-    for (size_t i = 0; i < members.size(); ++i) {
-      groups[assignment[i]].push_back(members[i]);
-    }
+    collect_groups();
     bool all_improved = true;
     for (uint32_t c = 0; c < num_clusters && all_improved; ++c) {
       if (groups[c].empty()) continue;
@@ -329,8 +435,9 @@ ClusterOutcome SingleClusteringProcess(const std::vector<EncodedLog>& logs,
         all_improved = false;
         break;
       }
-      const double s =
-          ComputeSaturation(logs, groups[c], options.saturation);
+      const double s = SaturationFromStats(
+          ClusterStats(logs, groups[c], parent_stats, active, profiles, c),
+          options.saturation);
       if (s <= parent_saturation + 1e-12) all_improved = false;
     }
     if (all_improved) break;
@@ -340,20 +447,23 @@ ClusterOutcome SingleClusteringProcess(const std::vector<EncodedLog>& logs,
     // existing clusters (lowest best-similarity).
     double worst_best = 2.0;
     size_t farthest_idx = 0;
+    sims.resize(num_clusters);
     for (size_t i = 0; i < members.size(); ++i) {
       double best_sim = 0.0;
-      for (uint32_t c = 0; c < num_clusters; ++c) {
-        if (profiles[c].size() == 0) continue;
-        best_sim = std::max(
-            best_sim, profiles[c].Similarity(
-                          i, options.use_position_importance));
+      if (scored_current) {
+        best_sim = top_sim[i];
+      } else {
+        profiles.Similarities(i, sims.data());
+        for (uint32_t c = 0; c < num_clusters; ++c) {
+          if (profiles.size(c) == 0) continue;
+          best_sim = std::max(best_sim, sims[c]);
+        }
       }
       if (best_sim < worst_best) {
         worst_best = best_sim;
         farthest_idx = i;
       }
     }
-    profiles.emplace_back(view);
     assignment[farthest_idx] = num_clusters;
     ++num_clusters;
     rebuild_profiles();
@@ -361,14 +471,20 @@ ClusterOutcome SingleClusteringProcess(const std::vector<EncodedLog>& logs,
   }
 
   // --- Materialize the partition --------------------------------------
-  std::vector<std::vector<uint32_t>> groups(num_clusters);
-  for (size_t i = 0; i < members.size(); ++i) {
-    groups[assignment[i]].push_back(members[i]);
+  // Every exit leaves the profiles built from the final assignment, and
+  // every exit after a saturation check leaves the groups that check saw.
+  if (!options.ensure_saturation_increase) collect_groups();
+  std::vector<uint32_t> kept;
+  for (uint32_t c = 0; c < num_clusters; ++c) {
+    if (!groups[c].empty()) kept.push_back(c);
   }
-  for (auto& g : groups) {
-    if (!g.empty()) outcome.clusters.push_back(std::move(g));
+  outcome.split = kept.size() >= 2;
+  if (!outcome.split) return outcome;
+  for (uint32_t c : kept) {
+    outcome.stats.push_back(
+        ClusterStats(logs, groups[c], parent_stats, active, profiles, c));
+    outcome.clusters.push_back(std::move(groups[c]));
   }
-  outcome.split = outcome.clusters.size() >= 2;
   return outcome;
 }
 

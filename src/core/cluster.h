@@ -44,8 +44,11 @@ struct ClusterOptions {
 /// Result of one clustering step.
 struct ClusterOutcome {
   /// Partition of the input members (indices into the EncodedLog vector).
-  /// Meaningful only when split == true; clusters are non-empty.
+  /// Filled only when split == true; clusters are non-empty.
   std::vector<std::vector<uint32_t>> clusters;
+  /// stats[i] = ComputePositionStats(logs, clusters[i]), computed during
+  /// clustering anyway and handed on so callers need not recount.
+  std::vector<PositionStats> stats;
   /// false -> the node should become a leaf (no useful split exists).
   bool split = false;
 };
@@ -81,9 +84,16 @@ class ClusterProfile {
 
 /// Runs the single clustering process for one node.
 /// `parent_saturation` is the node's own score; kept clusters must beat it
-/// (unless ensure_saturation_increase is off).
+/// (unless ensure_saturation_increase is off). `member_stats` must equal
+/// ComputePositionStats(logs, members); the first overload computes it.
 ClusterOutcome SingleClusteringProcess(const std::vector<EncodedLog>& logs,
                                        const std::vector<uint32_t>& members,
+                                       double parent_saturation,
+                                       const ClusterOptions& options,
+                                       Rng* rng);
+ClusterOutcome SingleClusteringProcess(const std::vector<EncodedLog>& logs,
+                                       const std::vector<uint32_t>& members,
+                                       const PositionStats& member_stats,
                                        double parent_saturation,
                                        const ClusterOptions& options,
                                        Rng* rng);

@@ -41,15 +41,22 @@ Status ByteBrainParser::Retrain(const std::vector<std::string>& logs) {
 }
 
 Result<PreparedRetrain> ByteBrainParser::PrepareRetrain(
-    TemplateModel base, const std::vector<std::string>& logs) const {
+    TemplateModel base, const std::vector<std::string>& logs,
+    int num_threads) const {
   return PrepareRetrain(
       std::move(base),
-      std::vector<std::string_view>(logs.begin(), logs.end()));
+      std::vector<std::string_view>(logs.begin(), logs.end()), num_threads);
 }
 
 Result<PreparedRetrain> ByteBrainParser::PrepareRetrain(
-    TemplateModel base, const std::vector<std::string_view>& logs) const {
-  Trainer trainer(options_.trainer);
+    TemplateModel base, const std::vector<std::string_view>& logs,
+    int num_threads) const {
+  TrainerOptions options = options_.trainer;
+  if (num_threads > 0) {
+    options.num_threads = num_threads;
+    options.preprocess.num_threads = num_threads;
+  }
+  Trainer trainer(std::move(options));
   auto out = trainer.Train(logs, replacer_);
   if (!out.ok()) return out.status();
   PreparedRetrain prepared;

@@ -83,10 +83,15 @@ class ByteBrainParser {
   /// pointer means the parser must outlive the prepared state. The view
   /// overload is what the service's off-lock training uses: views into
   /// mmap'd sealed storage segments, valid for the call only.
+  /// `num_threads` > 0 overrides the configured preprocessing and
+  /// clustering thread counts for this run (the service passes its
+  /// topic's budget); the model does not depend on it.
+  Result<PreparedRetrain> PrepareRetrain(TemplateModel base,
+                                         const std::vector<std::string>& logs,
+                                         int num_threads = 0) const;
   Result<PreparedRetrain> PrepareRetrain(
-      TemplateModel base, const std::vector<std::string>& logs) const;
-  Result<PreparedRetrain> PrepareRetrain(
-      TemplateModel base, const std::vector<std::string_view>& logs) const;
+      TemplateModel base, const std::vector<std::string_view>& logs,
+      int num_threads = 0) const;
 
   /// Publish half: swaps the prepared model/matcher in. O(1) pointer
   /// swaps — this is the only step the service's exclusive lock must

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 namespace bytebrain {
 
@@ -36,6 +35,52 @@ bool PositionStats::unresolved(size_t i) const {
   return true;
 }
 
+void TokenIdTable::Reset(size_t max_keys) {
+  // Load factor at most 1/2 keeps linear probes short.
+  int bits = 4;
+  while ((size_t{1} << bits) < 2 * max_keys) ++bits;
+  const size_t capacity = size_t{1} << bits;
+  if (capacity > slots_.size()) {
+    slots_.assign(capacity, Slot{});
+    stamp_ = 0;
+  }
+  if (++stamp_ == 0) {
+    // Stamp wrapped: stale slots could read as occupied.
+    std::fill(slots_.begin(), slots_.end(), Slot{});
+    stamp_ = 1;
+  }
+  mask_ = capacity - 1;
+  shift_ = 64 - bits;
+  size_ = 0;
+}
+
+uint32_t CountDistinct(const std::vector<EncodedLog>& logs,
+                       const std::vector<uint32_t>& members,
+                       size_t position) {
+  thread_local TokenIdTable seen;
+  seen.Reset(members.size());
+  const uint32_t n = static_cast<uint32_t>(members.size());
+  for (uint32_t idx : members) {
+    seen.Intern(logs[idx].tokens[position]);
+    // The count cannot exceed the member count; stop early once it shows
+    // the position is maximally distinct.
+    if (seen.size() == n) break;
+  }
+  return seen.size();
+}
+
+void ClassifyPositions(PositionStats* stats) {
+  stats->num_constant = 0;
+  stats->num_variable = 0;
+  for (uint32_t d : stats->distinct) {
+    if (d == 1) {
+      ++stats->num_constant;
+    } else if (IsConfirmedVariable(d, stats->num_logs)) {
+      ++stats->num_variable;
+    }
+  }
+}
+
 PositionStats ComputePositionStats(const std::vector<EncodedLog>& logs,
                                    const std::vector<uint32_t>& members) {
   PositionStats stats;
@@ -44,23 +89,10 @@ PositionStats ComputePositionStats(const std::vector<EncodedLog>& logs,
   const size_t m = logs[members[0]].tokens.size();
   stats.num_positions = static_cast<uint32_t>(m);
   stats.distinct.resize(m, 0);
-
-  std::unordered_set<uint64_t> seen;
   for (size_t pos = 0; pos < m; ++pos) {
-    seen.clear();
-    for (uint32_t idx : members) {
-      seen.insert(logs[idx].tokens[pos]);
-      // The set cannot exceed the member count; stop early once it shows
-      // the position is maximally distinct.
-      if (seen.size() == members.size()) break;
-    }
-    stats.distinct[pos] = static_cast<uint32_t>(seen.size());
-    if (seen.size() == 1) {
-      ++stats.num_constant;
-    } else if (IsConfirmedVariable(stats.distinct[pos], stats.num_logs)) {
-      ++stats.num_variable;
-    }
+    stats.distinct[pos] = CountDistinct(logs, members, pos);
   }
+  ClassifyPositions(&stats);
   return stats;
 }
 

@@ -26,7 +26,8 @@ struct TrainerOptions {
   ClusterOptions cluster;
   /// Initial-grouping prefix length k (paper default 0: length only).
   int prefix_k = 0;
-  /// Threads for per-group clustering (groups are independent).
+  /// Threads for per-group clustering (groups are independent). The
+  /// model does not depend on it.
   int num_threads = 1;
   /// Stop refining once a node reaches this saturation (1.0 = fully
   /// resolved, the paper's default behaviour).

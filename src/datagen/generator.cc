@@ -604,4 +604,26 @@ Dataset DatasetGenerator::GenerateLogHub2(double scale) const {
   return Generate(opts);
 }
 
+std::vector<std::string> GenerateInterleavedMix(
+    const std::vector<DatasetSpec>& specs, size_t per_dataset,
+    uint64_t salt) {
+  std::vector<std::vector<LabeledLog>> sets;
+  for (const DatasetSpec& spec : specs) {
+    GenOptions opts;
+    opts.num_logs = per_dataset;
+    opts.num_templates = spec.loghub_templates;
+    opts.include_preamble = true;
+    opts.seed_salt = salt;
+    sets.push_back(DatasetGenerator(spec).Generate(opts).logs);
+  }
+  std::vector<std::string> logs;
+  logs.reserve(specs.size() * per_dataset);
+  for (size_t i = 0; i < per_dataset; ++i) {
+    for (auto& set : sets) {
+      if (i < set.size()) logs.push_back(std::move(set[i].text));
+    }
+  }
+  return logs;
+}
+
 }  // namespace bytebrain

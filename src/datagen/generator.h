@@ -73,4 +73,11 @@ class DatasetGenerator {
 /// Renders a preamble for the style (exposed for the service benches).
 std::string RenderPreamble(PreambleStyle style, Rng* rng);
 
+/// The multi-source stream a service topic sees: `per_dataset` logs of
+/// each spec (with preambles, the spec's Table-1 template count, seed
+/// salt `salt`), interleaved round-robin. Texts only.
+std::vector<std::string> GenerateInterleavedMix(
+    const std::vector<DatasetSpec>& specs, size_t per_dataset,
+    uint64_t salt);
+
 }  // namespace bytebrain

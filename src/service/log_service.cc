@@ -791,7 +791,8 @@ Result<PreparedRetrain> ManagedTopic::PrepareTrainingGuarded(
       if (!scanned.ok()) return scanned;
     }
     for (const std::string& text : run->tail) window.emplace_back(text);
-    auto built = parser_.PrepareRetrain(std::move(run->base), window);
+    auto built =
+        parser_.PrepareRetrain(std::move(run->base), window, run->num_threads);
     if (built.ok()) {
       *assignments =
           built.value().matcher->MatchAll(window, run->num_threads);
@@ -925,6 +926,7 @@ Status ManagedTopic::CommitTrainingLocked(
   trained_ = true;
   ++stats_.trainings;
   stats_.last_training_seconds = train_seconds;
+  stats_.last_training_threads = static_cast<uint32_t>(run.num_threads);
   stats_.model_bytes = parser_.ModelBytes();
   stats_.num_templates = parser_.model().size();
 

@@ -71,7 +71,11 @@ struct TopicConfig {
   /// storage.durability field itself is ignored here so wire configs
   /// have exactly one durability knob.
   DurabilityMode durability = DurabilityMode::kNone;
-  /// Threads for matching/training (paper: 1-5 cores per topic).
+  /// Threads for matching and training (paper: 1-5 cores per topic):
+  /// batch matching, and a training run's preprocessing, clustering and
+  /// window re-match. Each run uses the value as of its snapshot, so an
+  /// UpdateConfig applies from the next run on; the trained model does
+  /// not depend on it.
   int num_threads = 2;
   /// Ingest shards for IngestBatch (clamped to [1, 64]). 1 keeps the
   /// single exclusive adopt/append section per batch. With N > 1, batch
@@ -180,6 +184,9 @@ struct TopicStats {
   uint64_t adopted_templates = 0;
   uint64_t model_bytes = 0;
   double last_training_seconds = 0.0;
+  /// Thread budget (the topic's num_threads as of the snapshot) the last
+  /// completed training preprocessed and clustered with.
+  uint32_t last_training_threads = 0;
   size_t num_templates = 0;
   // --- async retraining ---
   /// Trainings that ran on the background thread (subset of `trainings`).

@@ -56,9 +56,13 @@ class ThreadPool {
   bool shutting_down_ = false;
 };
 
-/// Runs fn(i) for i in [0, count) using up to `num_threads` threads with
-/// contiguous static partitioning. `num_threads <= 1` runs inline, which
-/// is the "ByteBrain Sequential" configuration from the paper's Fig. 6.
+/// Runs fn(i) for i in [0, count) using up to `num_threads` threads
+/// (budgeted like ParallelForShards, on the same shared pool). Workers
+/// claim indices one at a time in ascending order, so uneven items
+/// balance themselves; callers that know the costs pass the largest
+/// first. Which thread runs an index is unspecified. `num_threads <= 1`
+/// runs inline, which is the "ByteBrain Sequential" configuration from
+/// the paper's Fig. 6.
 void ParallelFor(size_t count, size_t num_threads,
                  const std::function<void(size_t)>& fn);
 

@@ -293,6 +293,7 @@ TEST(ApiMessagesTest, QueryAndStatsAndAnomalyRoundTrip) {
   s.stats.storage_cache_evictions = 33;
   s.stats.storage_index_rebuilds = 34;
   s.stats.storage_scan_record_visits = 35;
+  s.stats.last_training_threads = 4;
   GetStatsResponse s2;
   ASSERT_TRUE(s2.DecodeFrom(Encode(s)).ok());
   EXPECT_EQ(s2.stats.ingested_records, 1u);
@@ -318,6 +319,7 @@ TEST(ApiMessagesTest, QueryAndStatsAndAnomalyRoundTrip) {
   EXPECT_EQ(s2.stats.storage_cache_evictions, 33u);
   EXPECT_EQ(s2.stats.storage_index_rebuilds, 34u);
   EXPECT_EQ(s2.stats.storage_scan_record_visits, 35u);
+  EXPECT_EQ(s2.stats.last_training_threads, 4u);
 
   DetectAnomaliesRequest ar;
   ar.topic = "t";

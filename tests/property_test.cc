@@ -175,11 +175,23 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SaturationPropertyTest,
 class ClusterPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ClusterPropertyTest, OutcomeIsAlwaysAPartition) {
+  // Also holds the per-cluster stats the clusterer hands back to a
+  // recount, across the ablation switches. Every third group is large
+  // enough (>= 64 logs) to confirm variables: position 0 draws from n
+  // values (confirmed, recounted per cluster) and position 1 is distinct
+  // in every log (confirmed, stays distinct in every cluster).
   Rng rng(GetParam());
   for (int trial = 0; trial < 60; ++trial) {
-    const size_t n = 2 + rng.NextBelow(30);
-    const size_t m = 2 + rng.NextBelow(6);
+    const bool large = trial % 3 == 0;
+    const size_t n = large ? 64 + rng.NextBelow(100) : 2 + rng.NextBelow(30);
+    const size_t m = large ? 4 + rng.NextBelow(4) : 2 + rng.NextBelow(6);
     auto logs = RandomLogs(&rng, n, m, 4);
+    if (large) {
+      for (size_t i = 0; i < n; ++i) {
+        logs[i].tokens[0] = HashToken("v" + std::to_string(rng.NextBelow(n)));
+        logs[i].tokens[1] = HashToken("u" + std::to_string(i));
+      }
+    }
     // Dedup identical token rows (the clusterer's contract).
     std::vector<uint32_t> members;
     std::set<std::vector<uint64_t>> seen;
@@ -187,15 +199,27 @@ TEST_P(ClusterPropertyTest, OutcomeIsAlwaysAPartition) {
       if (seen.insert(logs[i].tokens).second) members.push_back(i);
     }
     if (members.size() < 2) continue;
+    ClusterOptions options;
+    options.early_stop = trial % 4 != 1;
+    options.ensure_saturation_increase = trial % 4 != 2;
     const double parent = ComputeSaturation(logs, members, {});
     Rng crng(trial * 7919 + GetParam());
     auto outcome =
-        SingleClusteringProcess(logs, members, parent, {}, &crng);
+        SingleClusteringProcess(logs, members, parent, options, &crng);
     if (!outcome.split) continue;
     std::vector<uint32_t> all;
-    for (const auto& c : outcome.clusters) {
-      ASSERT_FALSE(c.empty());
-      all.insert(all.end(), c.begin(), c.end());
+    ASSERT_EQ(outcome.stats.size(), outcome.clusters.size());
+    for (size_t c = 0; c < outcome.clusters.size(); ++c) {
+      const auto& cluster = outcome.clusters[c];
+      ASSERT_FALSE(cluster.empty());
+      all.insert(all.end(), cluster.begin(), cluster.end());
+      const PositionStats want = ComputePositionStats(logs, cluster);
+      const PositionStats& got = outcome.stats[c];
+      EXPECT_EQ(got.distinct, want.distinct) << "trial " << trial;
+      EXPECT_EQ(got.num_logs, want.num_logs);
+      EXPECT_EQ(got.num_positions, want.num_positions);
+      EXPECT_EQ(got.num_constant, want.num_constant);
+      EXPECT_EQ(got.num_variable, want.num_variable);
     }
     std::sort(all.begin(), all.end());
     std::vector<uint32_t> expected = members;

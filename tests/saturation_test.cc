@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 
 #include "core/preprocess.h"
 #include "core/saturation.h"
+#include "util/rng.h"
 
 namespace bytebrain {
 namespace {
@@ -172,6 +174,103 @@ TEST(SaturationTest, ManyUnresolvedPositionsDriveConfidenceToZero) {
   EXPECT_LE(s, 1.0);
   // p_c ~ 0 -> s ~ f_c = 1/71.
   EXPECT_NEAR(s, 1.0 / 71.0, 1e-6);
+}
+
+// --- ComputePositionStats against a brute-force std::set count -------
+
+// Token generators, one per position, chosen to stress the flat table:
+// constants, all-distinct positions (the early exit), small and
+// mid-sized vocabularies around the variable-confirmation threshold,
+// hashes that agree in their low 32 bits, small integers (ordinal-style
+// encodings) and hashes that differ only in their top bits.
+uint64_t TokenFor(size_t position, uint32_t log_index, Rng* rng) {
+  switch (position) {
+    case 0:
+      return HashToken("const");
+    case 1:
+      return HashToken("uniq" + std::to_string(log_index));
+    case 2:
+      return HashToken("level" + std::to_string(rng->NextBelow(3)));
+    case 3:
+      return HashToken("id" + std::to_string(rng->NextBelow(40)));
+    case 4:
+      return (rng->NextBelow(50) << 32) | 0x9e3779b9ULL;
+    case 5:
+      return rng->NextBelow(70);
+    default:
+      return rng->NextBelow(8) << 58;
+  }
+}
+
+constexpr size_t kPositions = 7;
+
+PositionStats BruteForceStats(const std::vector<EncodedLog>& logs,
+                              const std::vector<uint32_t>& members) {
+  PositionStats stats;
+  stats.num_logs = static_cast<uint32_t>(members.size());
+  stats.num_positions = static_cast<uint32_t>(kPositions);
+  for (size_t pos = 0; pos < kPositions; ++pos) {
+    std::set<uint64_t> seen;
+    for (uint32_t m : members) seen.insert(logs[m].tokens[pos]);
+    const uint32_t d = static_cast<uint32_t>(seen.size());
+    stats.distinct.push_back(d);
+    // The confirmation rule of saturation.cc: n >= 64, d >= 32, d >= n/2.
+    if (d == 1) {
+      ++stats.num_constant;
+    } else if (stats.num_logs >= 64 && d >= 32 && d >= stats.num_logs / 2) {
+      ++stats.num_variable;
+    }
+  }
+  return stats;
+}
+
+TEST(PositionStatsPropertyTest, MatchesBruteForceOnRandomMemberSets) {
+  Rng rng(20261017);
+  std::vector<EncodedLog> logs(400);
+  for (uint32_t i = 0; i < logs.size(); ++i) {
+    for (size_t pos = 0; pos < kPositions; ++pos) {
+      logs[i].tokens.push_back(TokenFor(pos, i, &rng));
+    }
+  }
+  // Sizes straddle the 64-log confirmation minimum; the rest are random.
+  std::vector<size_t> sizes = {1, 2, 63, 64, 65, 128, 400};
+  for (int t = 0; t < 40; ++t) sizes.push_back(1 + rng.NextBelow(400));
+  for (size_t n : sizes) {
+    // A random subset in random order, like a cluster's member list.
+    std::vector<uint32_t> pool(logs.size());
+    for (uint32_t i = 0; i < pool.size(); ++i) pool[i] = i;
+    for (size_t i = pool.size(); i > 1; --i) {
+      std::swap(pool[i - 1], pool[rng.NextBelow(i)]);
+    }
+    const std::vector<uint32_t> members(pool.begin(), pool.begin() + n);
+    const PositionStats want = BruteForceStats(logs, members);
+    const PositionStats got = ComputePositionStats(logs, members);
+    EXPECT_EQ(got.distinct, want.distinct) << "n=" << n;
+    EXPECT_EQ(got.num_logs, want.num_logs);
+    EXPECT_EQ(got.num_positions, want.num_positions);
+    EXPECT_EQ(got.num_constant, want.num_constant) << "n=" << n;
+    EXPECT_EQ(got.num_variable, want.num_variable) << "n=" << n;
+    // Position 1 is distinct in every member: the early exit must still
+    // report the full count.
+    EXPECT_EQ(got.distinct[1], n);
+  }
+}
+
+TEST(TokenIdTableTest, IdsFollowFirstInsertionAcrossResets) {
+  TokenIdTable table;
+  for (size_t round = 0; round < 3; ++round) {
+    // Grow, shrink and grow again: a reused table must forget old keys.
+    const size_t n = round == 1 ? 5 : 1000;
+    table.Reset(n);
+    for (uint64_t k = 0; k < n; ++k) {
+      // Keys collide in their low 40 bits.
+      EXPECT_EQ(table.Intern((k << 40) | 0xabcdefULL), k);
+    }
+    for (uint64_t k = 0; k < n; ++k) {
+      EXPECT_EQ(table.Intern((k << 40) | 0xabcdefULL), k);
+    }
+    EXPECT_EQ(table.size(), n);
+  }
 }
 
 }  // namespace

@@ -217,5 +217,58 @@ TEST(LogServiceTest, EndToEndOnGeneratedDataset) {
   EXPECT_LT(groups->size(), 200u);  // far fewer groups than logs
 }
 
+TEST(ManagedTopicTest, TopicThreadsReachTrainingWithoutChangingTheModel) {
+  // Several datasets with preambles: initial groups of uneven size, so
+  // parallel training really splits the work.
+  std::vector<DatasetSpec> specs;
+  for (const char* name : {"HDFS", "OpenSSH", "Apache", "Zookeeper"}) {
+    specs.push_back(*FindDatasetSpec(name));
+  }
+  const std::vector<std::string> logs = GenerateInterleavedMix(specs, 600, 0);
+  TopicConfig config = SmallConfig();
+  config.initial_train_records = 1200;
+  config.async_training = false;
+  config.num_threads = 1;
+  ManagedTopic one("one", config);
+  config.num_threads = 4;
+  ManagedTopic four("four", config);
+  auto feed = [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      ASSERT_TRUE(one.Ingest(logs[i]).ok());
+      ASSERT_TRUE(four.Ingest(logs[i]).ok());
+    }
+  };
+
+  // The initial training.
+  feed(0, 1200);
+  ASSERT_TRUE(one.trained());
+  ASSERT_TRUE(four.trained());
+  EXPECT_EQ(one.stats().last_training_threads, 1u);
+  EXPECT_EQ(four.stats().last_training_threads, 4u);
+  EXPECT_TRUE(one.SerializedModel() == four.SerializedModel());
+
+  // A manual retrain over a window holding online-adopted temporaries.
+  feed(1200, 1800);
+  ASSERT_TRUE(one.TrainNow().ok());
+  ASSERT_TRUE(four.TrainNow().ok());
+  EXPECT_EQ(one.stats().trainings, 2u);
+  EXPECT_TRUE(one.SerializedModel() == four.SerializedModel());
+
+  // A live thread-count change applies to the next run.
+  TopicConfigPatch to_four;
+  to_four.num_threads = 4;
+  ASSERT_TRUE(one.UpdateConfig(to_four).ok());
+  TopicConfigPatch to_two;
+  to_two.num_threads = 2;
+  ASSERT_TRUE(four.UpdateConfig(to_two).ok());
+  EXPECT_EQ(one.stats().last_training_threads, 1u);  // no run since
+  feed(1800, 2400);
+  ASSERT_TRUE(one.TrainNow().ok());
+  ASSERT_TRUE(four.TrainNow().ok());
+  EXPECT_EQ(one.stats().last_training_threads, 4u);
+  EXPECT_EQ(four.stats().last_training_threads, 2u);
+  EXPECT_TRUE(one.SerializedModel() == four.SerializedModel());
+}
+
 }  // namespace
 }  // namespace bytebrain

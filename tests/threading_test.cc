@@ -2,9 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "threading/thread_pool.h"
@@ -111,6 +113,29 @@ TEST(ParallelForTest, MoreThreadsThanWork) {
   std::atomic<int> count{0};
   ParallelFor(3, 16, [&count](size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 3);
+}
+
+TEST(ParallelForTest, ClaimsIndicesDynamically) {
+  // Index 0 blocks until every other index has run: under a static
+  // partition the indices sharing its shard would be stranded behind it.
+  constexpr size_t kCount = 64;
+  std::atomic<size_t> done{0};
+  std::atomic<bool> saw_all{false};
+  ParallelFor(kCount, 2, [&](size_t i) {
+    if (i != 0) {
+      done.fetch_add(1);
+      return;
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (done.load() < kCount - 1 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    saw_all = done.load() == kCount - 1;
+  });
+  EXPECT_TRUE(saw_all.load());
+  EXPECT_EQ(done.load(), kCount - 1);
 }
 
 TEST(ParallelForShardsTest, ShardsArePartition) {
