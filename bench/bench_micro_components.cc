@@ -323,6 +323,51 @@ void BM_FrontendDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_FrontendDispatch)->Arg(256)->Arg(1024);
 
+// The Dispatch path's codec work on its own, with no matching: encode a
+// view IngestBatch request, decode its envelope and batch as views,
+// encode and decode the IngestBatchResponse envelope, and round-trip a
+// 4-shard GetStatsResponse. Arg = records per batch.
+void BM_WireCodec(benchmark::State& state) {
+  const auto& logs = SampleLogs();
+  const size_t batch_size = static_cast<size_t>(state.range(0));
+  api::IngestBatchRequestView req;
+  req.topic = "bench";
+  req.texts.assign(logs.begin(), logs.begin() + batch_size);
+  api::IngestBatchResponse acks;
+  for (uint64_t i = 0; i < batch_size; ++i) acks.seqs.push_back(1000 + i);
+  api::GetStatsResponse stats;
+  stats.stats.shards.resize(4);
+  for (auto _ : state) {
+    const std::string request =
+        api::EncodeRequest(api::ApiMethod::kIngestBatch, "bench-tenant", req);
+    api::RequestEnvelopeView env;
+    api::IngestBatchRequestView batch;
+    if (!env.DecodeFrom(request).ok() || !batch.DecodeFrom(env.payload).ok() ||
+        batch.texts.size() != batch_size) {
+      state.SkipWithError("request decode failed");
+      return;
+    }
+    const std::string response = api::EncodeResponse(Status::OK(), 0, &acks);
+    api::IngestBatchResponse acked;
+    if (!api::DecodeResponse(response, &acked).ok() ||
+        acked.seqs.size() != batch_size) {
+      state.SkipWithError("response decode failed");
+      return;
+    }
+    std::string stats_bytes;
+    stats.EncodeTo(&stats_bytes);
+    api::GetStatsResponse stats_back;
+    if (!stats_back.DecodeFrom(stats_bytes).ok()) {
+      state.SkipWithError("stats decode failed");
+      return;
+    }
+    benchmark::DoNotOptimize(stats_back.stats.shards.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(batch_size));
+}
+BENCHMARK(BM_WireCodec)->Arg(256)->Arg(1024);
+
 // Ingest throughput while retrains land mid-stream: Arg(1) runs them on
 // the background thread (atomic swap), Arg(0) inline under the ingest
 // lock — the delta is the latency the async design removes from the

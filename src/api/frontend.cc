@@ -6,8 +6,8 @@
 #include <iterator>
 #include <utility>
 
+#include "api/wire.h"
 #include "logstore/segment_cache.h"
-#include "util/serde.h"
 
 namespace bytebrain {
 namespace api {
@@ -47,6 +47,17 @@ Status ValidateNamePart(const char* kind, std::string_view s) {
   return Status::OK();
 }
 
+/// A batch's timestamps are optional but, when present, one per text.
+/// Checked before admission: a batch the topic would reject must not
+/// consume bucket tokens or count as admitted.
+Status ValidateBatchShape(size_t texts, size_t timestamps) {
+  if (timestamps != 0 && timestamps != texts) {
+    return Status::InvalidArgument(
+        "timestamps_us must be empty or match texts in size");
+  }
+  return Status::OK();
+}
+
 std::string FullTopicName(std::string_view tenant, std::string_view name) {
   std::string full;
   full.reserve(tenant.size() + 1 + name.size());
@@ -79,68 +90,21 @@ struct QueryCursor {
   /// same range. Pre-range cursors decode to the select-all defaults.
   uint64_t min_timestamp_us = 0;
   uint64_t max_timestamp_us = UINT64_MAX;
-
-  void EncodeTo(std::string* out) const {
-    FieldWriter w(out);
-    w.PutU64(1, begin_seq);
-    w.PutU64(2, end_seq);
-    w.PutU64(3, offset);
-    w.PutDouble(4, saturation);
-    w.PutBool(5, include_sequence_numbers);
-    w.PutBool(6, has_resume_key);
-    w.PutU64(7, resume_count);
-    w.PutU64(8, resume_template_id);
-    w.PutU64(9, min_timestamp_us);
-    w.PutU64(10, max_timestamp_us);
-  }
-
-  Status DecodeFrom(std::string_view bytes) {
-    FieldReader fields(bytes);
-    uint32_t tag = 0;
-    std::string_view p;
-    bool ok = true;
-    while (fields.Next(&tag, &p)) {
-      switch (tag) {
-        case 1:
-          ok = ok && FieldReader::U64(p, &begin_seq);
-          break;
-        case 2:
-          ok = ok && FieldReader::U64(p, &end_seq);
-          break;
-        case 3:
-          ok = ok && FieldReader::U64(p, &offset);
-          break;
-        case 4:
-          ok = ok && FieldReader::Double(p, &saturation);
-          break;
-        case 5:
-          ok = ok && FieldReader::Bool(p, &include_sequence_numbers);
-          break;
-        case 6:
-          ok = ok && FieldReader::Bool(p, &has_resume_key);
-          break;
-        case 7:
-          ok = ok && FieldReader::U64(p, &resume_count);
-          break;
-        case 8:
-          ok = ok && FieldReader::U64(p, &resume_template_id);
-          break;
-        case 9:
-          ok = ok && FieldReader::U64(p, &min_timestamp_us);
-          break;
-        case 10:
-          ok = ok && FieldReader::U64(p, &max_timestamp_us);
-          break;
-        default:
-          break;
-      }
-    }
-    if (!ok || fields.error()) {
-      return Status::InvalidArgument("malformed query cursor");
-    }
-    return Status::OK();
-  }
 };
+
+template <class V>
+void Fields(QueryCursor& m, V& v) {
+  v(1, m.begin_seq);
+  v(2, m.end_seq);
+  v(3, m.offset);
+  v(4, m.saturation);
+  v(5, m.include_sequence_numbers);
+  v(6, m.has_resume_key);
+  v(7, m.resume_count);
+  v(8, m.resume_template_id);
+  v(9, m.min_timestamp_us);
+  v(10, m.max_timestamp_us);
+}
 
 /// Dispatch glue: decode the method's request, run it, encode one
 /// response envelope (payload encoded in place — see EncodeResponse)
@@ -506,6 +470,8 @@ Status ServiceFrontend::IngestBatch(std::string_view tenant,
   BB_RETURN_IF_ERROR(CheckWritable());
   auto topic = ResolveTopic(tenant, req.topic);
   BB_RETURN_IF_ERROR(topic.status());
+  BB_RETURN_IF_ERROR(
+      ValidateBatchShape(req.texts.size(), req.timestamps_us.size()));
   uint64_t bytes = 0;
   for (const std::string& text : req.texts) bytes += text.size();
   return IngestBatchGuarded(
@@ -524,6 +490,8 @@ Status ServiceFrontend::IngestBatchViews(std::string_view tenant,
   BB_RETURN_IF_ERROR(CheckWritable());
   auto topic = ResolveTopic(tenant, req.topic);
   BB_RETURN_IF_ERROR(topic.status());
+  BB_RETURN_IF_ERROR(
+      ValidateBatchShape(req.texts.size(), req.timestamps_us.size()));
   uint64_t bytes = 0;
   for (std::string_view text : req.texts) bytes += text.size();
   return IngestBatchGuarded(
@@ -544,7 +512,9 @@ Status ServiceFrontend::Query(std::string_view tenant, const QueryRequest& req,
 
   QueryCursor cursor;
   if (!req.cursor.empty()) {
-    BB_RETURN_IF_ERROR(cursor.DecodeFrom(req.cursor));
+    if (!DecodeFields(req.cursor, &cursor).ok()) {
+      return Status::InvalidArgument("malformed query cursor");
+    }
   } else {
     cursor.begin_seq = req.begin_seq;
     // Resolve the open end NOW: later pages read the same window even
@@ -582,7 +552,7 @@ Status ServiceFrontend::Query(std::string_view tenant, const QueryRequest& req,
     next.has_resume_key = true;
     next.resume_count = page.value().last_count;
     next.resume_template_id = page.value().last_template_id;
-    next.EncodeTo(&resp->next_cursor);
+    EncodeFields(next, &resp->next_cursor);
   }
   return Status::OK();
 }

@@ -1,32 +1,9 @@
 #include "api/messages.h"
 
-#include "util/serde.h"
+#include "api/wire.h"
 
 namespace bytebrain {
 namespace api {
-
-namespace {
-
-Status Malformed(const char* what) {
-  return Status::Corruption(std::string("truncated or malformed ") + what);
-}
-
-// Decode-loop helpers: every scalar field must carry exactly its fixed
-// width; a mismatch is framing corruption, not a skippable field.
-bool TakeU32(std::string_view payload, uint32_t* v) {
-  return FieldReader::U32(payload, v);
-}
-bool TakeU64(std::string_view payload, uint64_t* v) {
-  return FieldReader::U64(payload, v);
-}
-bool TakeDouble(std::string_view payload, double* v) {
-  return FieldReader::Double(payload, v);
-}
-bool TakeBool(std::string_view payload, bool* v) {
-  return FieldReader::Bool(payload, v);
-}
-
-}  // namespace
 
 Status StatusFromWire(uint32_t code, std::string message) {
   switch (static_cast<Status::Code>(code)) {
@@ -58,21 +35,274 @@ Status StatusFromWire(uint32_t code, std::string message) {
 }
 
 // ---------------------------------------------------------------------
+// Field lists, one per wire struct, tags in encode order (api/wire.h).
+// ---------------------------------------------------------------------
+
+template <class V>
+void Fields(TopicConfig& m, V& v) {
+  v(1, m.train_volume_bytes);
+  v(2, m.train_interval_records);
+  v(3, m.initial_train_records);
+  v(4, m.max_train_records);
+  v(5, m.num_threads);
+  v(6, m.num_ingest_shards);
+  v(7, m.async_training);
+  v(8, m.sync_initial_training);
+  v.Enum(9, m.storage.kind, StorageConfig::Kind::kSegmentedDisk);
+  v(10, m.storage.directory);
+  v(11, m.storage.segment_data_bytes);
+  v(12, m.storage.memory_segment_capacity);
+  v(13, m.variable_rules);
+  v.Enum(14, m.durability, DurabilityMode::kWalGroupCommit);
+}
+
+/// One variable rule: name -> pattern.
+template <class V>
+void Fields(std::pair<std::string, std::string>& m, V& v) {
+  v(1, m.first);
+  v(2, m.second);
+}
+
+template <class V>
+void Fields(TopicConfigPatch& m, V& v) {
+  v(1, m.train_volume_bytes);
+  v(2, m.train_interval_records);
+  v(3, m.initial_train_records);
+  v(4, m.max_train_records);
+  v(5, m.num_threads);
+  v(6, m.num_ingest_shards);
+  v(7, m.async_training);
+}
+
+template <class V>
+void Fields(CreateTopicRequest& m, V& v) {
+  v(1, m.name);
+  v(2, m.config);
+}
+
+template <class V>
+void Fields(UpdateTopicConfigRequest& m, V& v) {
+  v(1, m.name);
+  v(2, m.patch);
+}
+
+template <class V>
+void Fields(DeleteTopicRequest& m, V& v) {
+  v(1, m.name);
+  v(2, m.purge_storage);
+}
+
+template <class V>
+void Fields(ListTopicsResponse& m, V& v) { v(1, m.names); }
+
+template <class V>
+void Fields(IngestRequest& m, V& v) {
+  v(1, m.topic);
+  v(2, m.text);
+  v(3, m.timestamp_us);
+}
+
+template <class V>
+void Fields(IngestResponse& m, V& v) { v(1, m.seq); }
+
+/// The owning and the borrowed batch request share one wire layout.
+template <class M, class V>
+  requires std::is_same_v<M, IngestBatchRequest> ||
+           std::is_same_v<M, IngestBatchRequestView>
+void Fields(M& m, V& v) {
+  v(1, m.topic);
+  v(2, m.texts);
+  v.If(!m.timestamps_us.empty(), 3, m.timestamps_us);
+}
+
+template <class V>
+void Fields(IngestBatchResponse& m, V& v) { v(1, m.seqs); }
+
+template <class V>
+void Fields(QueryRequest& m, V& v) {
+  v(1, m.topic);
+  v(2, m.saturation_threshold);
+  v(3, m.begin_seq);
+  v(4, m.end_seq);
+  v(5, m.max_groups);
+  v(6, m.cursor);
+  v(7, m.include_sequence_numbers);
+  v.If(m.min_timestamp_us != 0, 8, m.min_timestamp_us);
+  v.If(m.max_timestamp_us != UINT64_MAX, 9, m.max_timestamp_us);
+}
+
+template <class V>
+void Fields(TemplateGroup& m, V& v) {
+  v(1, m.template_id);
+  v(2, m.template_text);
+  v(3, m.saturation);
+  v(4, m.count);
+  v.If(!m.sequence_numbers.empty(), 5, m.sequence_numbers);
+}
+
+template <class V>
+void Fields(QueryResponse& m, V& v) {
+  v(1, m.groups);
+  v(2, m.next_cursor);
+}
+
+template <class V>
+void Fields(GetStatsRequest& m, V& v) { v(1, m.topic); }
+
+template <class V>
+void Fields(ShardStats& m, V& v) {
+  v(1, m.records);
+  v(2, m.bytes);
+  v(3, m.matched_shared);
+  v(4, m.matched_pending);
+  v(5, m.adopted);
+  v(6, m.merges);
+  v(7, m.memo_hits);
+}
+
+template <class V>
+void Fields(TenantMeter& m, V& v) {
+  v(1, m.admitted_requests);
+  v(2, m.denied_requests);
+  v(3, m.admitted_bytes);
+  v(4, m.denied_bytes);
+  v(5, m.admitted_records);
+  v(6, m.denied_records);
+}
+
+template <class V>
+void Fields(GetStatsResponse& m, V& v) {
+  TopicStats& s = m.stats;
+  v(1, s.ingested_records);
+  v(2, s.ingested_bytes);
+  v(3, s.trainings);
+  v(4, s.matched_online);
+  v(5, s.adopted_templates);
+  v(6, s.model_bytes);
+  v(7, s.last_training_seconds);
+  v(8, s.num_templates);
+  v(9, s.async_trainings);
+  v(10, s.pending_trainings);
+  v(11, s.coalesced_triggers);
+  v(12, s.failed_trainings);
+  v(13, s.last_swap_seconds);
+  v(14, s.shard_merges);
+  v(15, s.storage_persistent);
+  v(16, s.storage_ok);
+  v(17, s.storage_sealed_segments);
+  v(18, s.storage_mapped_bytes);
+  v(19, s.recovered_records);
+  v(20, s.last_snapshot_copied_records);
+  v(21, s.last_snapshot_mapped_records);
+  v(22, s.shards);
+  v(23, s.wal_bytes);
+  v(24, s.wal_group_commits);
+  v(25, s.wal_fsyncs);
+  v(26, s.wal_replayed_records);
+  v(27, m.tenant);
+  v(28, s.storage_cache_hits);
+  v(29, s.storage_cache_misses);
+  v(30, s.storage_cache_evictions);
+  v(31, s.storage_index_rebuilds);
+  v(32, s.storage_scan_record_visits);
+  v(33, s.replication_lag_bytes);
+  v(34, s.replication_lag_records);
+  v(35, s.replication_lag_segments);
+  v(36, s.replica_role);
+  v(37, s.last_training_threads);
+}
+
+template <class V>
+void Fields(TrainNowRequest& m, V& v) { v(1, m.topic); }
+
+template <class V>
+void Fields(DetectAnomaliesRequest& m, V& v) {
+  v(1, m.topic);
+  v(2, m.window1_begin);
+  v(3, m.window1_end);
+  v(4, m.window2_begin);
+  v(5, m.window2_end);
+  v(6, m.min_change_ratio);
+}
+
+template <class V>
+void Fields(TemplateAnomaly& m, V& v) {
+  v(1, m.template_id);
+  v(2, m.template_text);
+  v(3, m.count_before);
+  v(4, m.count_after);
+  v(5, m.is_new);
+  v(6, m.change_ratio);
+}
+
+template <class V>
+void Fields(DetectAnomaliesResponse& m, V& v) { v(1, m.anomalies); }
+
+template <class V>
+void Fields(ReplPullRequest& m, V& v) {
+  v(1, m.topic);
+  v(2, m.segment_index);
+  v(3, m.offset);
+  v(4, m.max_bytes);
+  v(5, m.model_generation);
+  v(6, m.want_config);
+}
+
+template <class V>
+void Fields(ReplPullResponse& m, V& v) {
+  v(1, m.topics);
+  v(2, m.segment_index);
+  v(3, m.offset);
+  v(4, m.data);
+  v(5, m.segment_sealed);
+  v(6, m.segment_records);
+  v(7, m.segment_checksum);
+  v(8, m.segment_data_len);
+  v(9, m.source_records);
+  v(10, m.source_segments);
+  v(11, m.source_bytes);
+  v(12, m.has_config);
+  v.If(m.has_config, 13, m.config);
+  v(14, m.has_model);
+  v.If(m.has_model, 15, m.model_blob);
+  v(16, m.model_generation);
+}
+
+template <class V>
+void Fields(PromoteResponse& m, V& v) { v(1, m.sealed_topics); }
+
+// ---------------------------------------------------------------------
 // Envelopes
 // ---------------------------------------------------------------------
 
+namespace {
+
+template <typename Frame>
+Status DecodeFrame(std::string_view bytes, Frame* frame) {
+  uint32_t version = 0;
+  if (!ByteReader(bytes).GetU32(&version)) {
+    return Status::Corruption("truncated envelope header");
+  }
+  if (version == 0) return Status::InvalidArgument("unsupported api version 0");
+  BB_RETURN_IF_ERROR(DecodeFields(bytes.substr(4), frame));
+  frame->api_version = version;
+  return Status::OK();
+}
+
+}  // namespace
+
 void RequestEnvelope::EncodeTo(std::string* out) const {
-  ByteWriter(out).PutU32(api_version);
-  FieldWriter w(out);
-  w.PutU32(1, static_cast<uint32_t>(method));
-  w.PutBytes(2, tenant);
-  w.PutBytes(3, payload);
-  if (request_id != 0) w.PutU64(4, request_id);
-  if (!auth_token.empty()) w.PutBytes(5, auth_token);
+  RequestFrame<std::string_view> f;
+  f.api_version = api_version;
+  f.method = method;
+  f.tenant = tenant;
+  f.payload = payload;
+  f.request_id = request_id;
+  f.auth_token = auth_token;
+  EncodeFrame(f, out);
 }
 
 Status RequestEnvelope::DecodeFrom(std::string_view bytes) {
-  // One decode loop for both forms: parse as views, then materialize.
   RequestEnvelopeView view;
   BB_RETURN_IF_ERROR(view.DecodeFrom(bytes));
   api_version = view.api_version;
@@ -85,1308 +315,95 @@ Status RequestEnvelope::DecodeFrom(std::string_view bytes) {
 }
 
 Status RequestEnvelopeView::DecodeFrom(std::string_view bytes) {
-  // Reused structs decode cleanly: absent fields get defaults.
-  *this = RequestEnvelopeView();
-  ByteReader r(bytes);
-  if (!r.GetU32(&api_version)) return Malformed("request envelope header");
-  if (api_version == 0) {
-    return Status::InvalidArgument("unsupported api version 0");
-  }
-  FieldReader fields(bytes.substr(4));
-  uint32_t tag = 0;
-  std::string_view p;
-  while (fields.Next(&tag, &p)) {
-    switch (tag) {
-      case 1: {
-        uint32_t m = 0;
-        if (!TakeU32(p, &m)) return Malformed("request envelope method");
-        method = static_cast<ApiMethod>(m);
-        break;
-      }
-      case 2:
-        tenant = p;
-        break;
-      case 3:
-        payload = p;
-        break;
-      case 4:
-        if (!TakeU64(p, &request_id)) {
-          return Malformed("request envelope request id");
-        }
-        break;
-      case 5:
-        auth_token = p;
-        break;
-      default:
-        break;
-    }
-  }
-  if (fields.error()) return Malformed("request envelope");
+  RequestFrame<std::string_view> f;
+  BB_RETURN_IF_ERROR(DecodeFrame(bytes, &f));
+  api_version = f.api_version;
+  method = f.method;
+  tenant = f.tenant;
+  payload = f.payload;
+  request_id = f.request_id;
+  auth_token = f.auth_token;
   return Status::OK();
 }
 
 void ResponseEnvelope::EncodeTo(std::string* out) const {
-  ByteWriter(out).PutU32(api_version);
-  FieldWriter w(out);
-  w.PutU32(1, static_cast<uint32_t>(status.code()));
-  w.PutBytes(2, status.message());
-  w.PutU64(3, retry_after_us);
-  w.PutBytes(4, payload);
-  if (request_id != 0) w.PutU64(5, request_id);
+  ResponseFrame<std::string_view> f;
+  f.api_version = api_version;
+  f.code = static_cast<uint32_t>(status.code());
+  f.message = status.message();
+  f.retry_after_us = retry_after_us;
+  f.payload = payload;
+  f.request_id = request_id;
+  EncodeFrame(f, out);
 }
 
 Status ResponseEnvelope::DecodeFrom(std::string_view bytes) {
-  // Reused structs decode cleanly: absent fields get defaults.
-  *this = ResponseEnvelope();
-  ByteReader r(bytes);
-  if (!r.GetU32(&api_version)) return Malformed("response envelope header");
-  if (api_version == 0) {
-    return Status::InvalidArgument("unsupported api version 0");
-  }
-  uint32_t code = 0;
-  std::string message;
-  FieldReader fields(bytes.substr(4));
-  uint32_t tag = 0;
-  std::string_view p;
-  while (fields.Next(&tag, &p)) {
-    switch (tag) {
-      case 1:
-        if (!TakeU32(p, &code)) return Malformed("response envelope status");
-        break;
-      case 2:
-        message.assign(p);
-        break;
-      case 3:
-        if (!TakeU64(p, &retry_after_us)) {
-          return Malformed("response envelope retry hint");
-        }
-        break;
-      case 4:
-        payload.assign(p);
-        break;
-      case 5:
-        if (!TakeU64(p, &request_id)) {
-          return Malformed("response envelope request id");
-        }
-        break;
-      default:
-        break;
-    }
-  }
-  if (fields.error()) return Malformed("response envelope");
-  if (code > static_cast<uint32_t>(Status::Code::kUnavailable)) {
+  ResponseFrame<std::string_view> f;
+  BB_RETURN_IF_ERROR(DecodeFrame(bytes, &f));
+  if (f.code > static_cast<uint32_t>(Status::Code::kUnavailable)) {
     return Status::Corruption("unknown wire status code " +
-                              std::to_string(code));
+                              std::to_string(f.code));
   }
-  status = StatusFromWire(code, std::move(message));
+  api_version = f.api_version;
+  status = StatusFromWire(f.code, std::string(f.message));
+  retry_after_us = f.retry_after_us;
+  payload.assign(f.payload);
+  request_id = f.request_id;
   return Status::OK();
 }
 
 // ---------------------------------------------------------------------
-// Config payloads
+// Config payloads and messages: every codec is its field list.
 // ---------------------------------------------------------------------
 
 void EncodeTopicConfig(const TopicConfig& config, std::string* out) {
-  FieldWriter w(out);
-  w.PutU64(1, config.train_volume_bytes);
-  w.PutU64(2, config.train_interval_records);
-  w.PutU64(3, config.initial_train_records);
-  w.PutU64(4, config.max_train_records);
-  w.PutU32(5, static_cast<uint32_t>(config.num_threads));
-  w.PutU32(6, static_cast<uint32_t>(config.num_ingest_shards));
-  w.PutBool(7, config.async_training);
-  w.PutBool(8, config.sync_initial_training);
-  w.PutU32(9, static_cast<uint32_t>(config.storage.kind));
-  w.PutBytes(10, config.storage.directory);
-  w.PutU64(11, config.storage.segment_data_bytes);
-  w.PutU64(12, config.storage.memory_segment_capacity);
-  for (const auto& [name, pattern] : config.variable_rules) {
-    const size_t rule = w.Begin(13);
-    FieldWriter rw(out);
-    rw.PutBytes(1, name);
-    rw.PutBytes(2, pattern);
-    w.End(rule);
-  }
-  w.PutU32(14, static_cast<uint32_t>(config.durability));
+  EncodeFields(config, out);
 }
-
 Status DecodeTopicConfig(std::string_view bytes, TopicConfig* out) {
-  *out = TopicConfig();
-  FieldReader fields(bytes);
-  uint32_t tag = 0;
-  std::string_view p;
-  while (fields.Next(&tag, &p)) {
-    uint32_t u32 = 0;
-    uint64_t u64 = 0;
-    switch (tag) {
-      case 1:
-        if (!TakeU64(p, &out->train_volume_bytes)) goto malformed;
-        break;
-      case 2:
-        if (!TakeU64(p, &out->train_interval_records)) goto malformed;
-        break;
-      case 3:
-        if (!TakeU64(p, &out->initial_train_records)) goto malformed;
-        break;
-      case 4:
-        if (!TakeU64(p, &out->max_train_records)) goto malformed;
-        break;
-      case 5:
-        if (!TakeU32(p, &u32)) goto malformed;
-        out->num_threads = static_cast<int>(u32);
-        break;
-      case 6:
-        if (!TakeU32(p, &u32)) goto malformed;
-        out->num_ingest_shards = static_cast<int>(u32);
-        break;
-      case 7:
-        if (!TakeBool(p, &out->async_training)) goto malformed;
-        break;
-      case 8:
-        if (!TakeBool(p, &out->sync_initial_training)) goto malformed;
-        break;
-      case 9:
-        if (!TakeU32(p, &u32)) goto malformed;
-        if (u32 > static_cast<uint32_t>(StorageConfig::Kind::kSegmentedDisk)) {
-          return Status::InvalidArgument("unknown storage kind " +
-                                         std::to_string(u32));
-        }
-        out->storage.kind = static_cast<StorageConfig::Kind>(u32);
-        break;
-      case 10:
-        out->storage.directory.assign(p);
-        break;
-      case 11:
-        if (!TakeU64(p, &out->storage.segment_data_bytes)) goto malformed;
-        break;
-      case 12:
-        if (!TakeU64(p, &u64)) goto malformed;
-        out->storage.memory_segment_capacity = static_cast<size_t>(u64);
-        break;
-      case 13: {
-        std::string name, pattern;
-        FieldReader rule(p);
-        uint32_t rtag = 0;
-        std::string_view rp;
-        while (rule.Next(&rtag, &rp)) {
-          if (rtag == 1) name.assign(rp);
-          if (rtag == 2) pattern.assign(rp);
-        }
-        if (rule.error()) goto malformed;
-        out->variable_rules.emplace_back(std::move(name), std::move(pattern));
-        break;
-      }
-      case 14:
-        if (!TakeU32(p, &u32)) goto malformed;
-        if (u32 > static_cast<uint32_t>(DurabilityMode::kWalGroupCommit)) {
-          return Status::InvalidArgument("unknown durability mode " +
-                                         std::to_string(u32));
-        }
-        out->durability = static_cast<DurabilityMode>(u32);
-        break;
-      default:
-        break;
-    }
-  }
-  if (fields.error()) goto malformed;
-  return Status::OK();
-malformed:
-  return Malformed("TopicConfig");
+  return DecodeFields(bytes, out);
 }
-
 void EncodeTopicConfigPatch(const TopicConfigPatch& patch, std::string* out) {
-  FieldWriter w(out);
-  if (patch.train_volume_bytes) w.PutU64(1, *patch.train_volume_bytes);
-  if (patch.train_interval_records) {
-    w.PutU64(2, *patch.train_interval_records);
-  }
-  if (patch.initial_train_records) w.PutU64(3, *patch.initial_train_records);
-  if (patch.max_train_records) w.PutU64(4, *patch.max_train_records);
-  if (patch.num_threads) {
-    w.PutU32(5, static_cast<uint32_t>(*patch.num_threads));
-  }
-  if (patch.num_ingest_shards) {
-    w.PutU32(6, static_cast<uint32_t>(*patch.num_ingest_shards));
-  }
-  if (patch.async_training) w.PutBool(7, *patch.async_training);
+  EncodeFields(patch, out);
 }
-
 Status DecodeTopicConfigPatch(std::string_view bytes, TopicConfigPatch* out) {
-  *out = TopicConfigPatch();
-  FieldReader fields(bytes);
-  uint32_t tag = 0;
-  std::string_view p;
-  while (fields.Next(&tag, &p)) {
-    uint32_t u32 = 0;
-    uint64_t u64 = 0;
-    bool b = false;
-    switch (tag) {
-      case 1:
-        if (!TakeU64(p, &u64)) goto malformed;
-        out->train_volume_bytes = u64;
-        break;
-      case 2:
-        if (!TakeU64(p, &u64)) goto malformed;
-        out->train_interval_records = u64;
-        break;
-      case 3:
-        if (!TakeU64(p, &u64)) goto malformed;
-        out->initial_train_records = u64;
-        break;
-      case 4:
-        if (!TakeU64(p, &u64)) goto malformed;
-        out->max_train_records = u64;
-        break;
-      case 5:
-        if (!TakeU32(p, &u32)) goto malformed;
-        out->num_threads = static_cast<int>(u32);
-        break;
-      case 6:
-        if (!TakeU32(p, &u32)) goto malformed;
-        out->num_ingest_shards = static_cast<int>(u32);
-        break;
-      case 7:
-        if (!TakeBool(p, &b)) goto malformed;
-        out->async_training = b;
-        break;
-      default:
-        break;
-    }
+  return DecodeFields(bytes, out);
+}
+
+#define BB_WIRE_MESSAGE(T)                                               \
+  void T::EncodeTo(std::string* out) const { EncodeFields(*this, out); } \
+  Status T::DecodeFrom(std::string_view bytes) {                         \
+    return DecodeFields(bytes, this);                                    \
   }
-  if (fields.error()) goto malformed;
-  return Status::OK();
-malformed:
-  return Malformed("TopicConfigPatch");
-}
 
-// ---------------------------------------------------------------------
-// Topic lifecycle
-// ---------------------------------------------------------------------
+BB_WIRE_MESSAGE(CreateTopicRequest)
+BB_WIRE_MESSAGE(CreateTopicResponse)
+BB_WIRE_MESSAGE(UpdateTopicConfigRequest)
+BB_WIRE_MESSAGE(UpdateTopicConfigResponse)
+BB_WIRE_MESSAGE(DeleteTopicRequest)
+BB_WIRE_MESSAGE(DeleteTopicResponse)
+BB_WIRE_MESSAGE(ListTopicsRequest)
+BB_WIRE_MESSAGE(ListTopicsResponse)
+BB_WIRE_MESSAGE(IngestRequest)
+BB_WIRE_MESSAGE(IngestResponse)
+BB_WIRE_MESSAGE(IngestBatchRequest)
+BB_WIRE_MESSAGE(IngestBatchRequestView)
+BB_WIRE_MESSAGE(IngestBatchResponse)
+BB_WIRE_MESSAGE(QueryRequest)
+BB_WIRE_MESSAGE(QueryResponse)
+BB_WIRE_MESSAGE(GetStatsRequest)
+BB_WIRE_MESSAGE(GetStatsResponse)
+BB_WIRE_MESSAGE(TrainNowRequest)
+BB_WIRE_MESSAGE(TrainNowResponse)
+BB_WIRE_MESSAGE(DetectAnomaliesRequest)
+BB_WIRE_MESSAGE(DetectAnomaliesResponse)
+BB_WIRE_MESSAGE(ReplPullRequest)
+BB_WIRE_MESSAGE(ReplPullResponse)
+BB_WIRE_MESSAGE(PromoteRequest)
+BB_WIRE_MESSAGE(PromoteResponse)
+BB_WIRE_MESSAGE(DemoteRequest)
+BB_WIRE_MESSAGE(DemoteResponse)
 
-void CreateTopicRequest::EncodeTo(std::string* out) const {
-  FieldWriter w(out);
-  w.PutBytes(1, name);
-  const size_t cfg = w.Begin(2);
-  EncodeTopicConfig(config, out);
-  w.End(cfg);
-}
-
-Status CreateTopicRequest::DecodeFrom(std::string_view bytes) {
-  // Reused structs decode cleanly: absent fields get defaults.
-  *this = CreateTopicRequest();
-  FieldReader fields(bytes);
-  uint32_t tag = 0;
-  std::string_view p;
-  while (fields.Next(&tag, &p)) {
-    switch (tag) {
-      case 1:
-        name.assign(p);
-        break;
-      case 2:
-        BB_RETURN_IF_ERROR(DecodeTopicConfig(p, &config));
-        break;
-      default:
-        break;
-    }
-  }
-  if (fields.error()) return Malformed("CreateTopicRequest");
-  return Status::OK();
-}
-
-void CreateTopicResponse::EncodeTo(std::string*) const {}
-
-Status CreateTopicResponse::DecodeFrom(std::string_view bytes) {
-  FieldReader fields(bytes);
-  uint32_t tag = 0;
-  std::string_view p;
-  while (fields.Next(&tag, &p)) {
-  }
-  if (fields.error()) return Malformed("CreateTopicResponse");
-  return Status::OK();
-}
-
-void UpdateTopicConfigRequest::EncodeTo(std::string* out) const {
-  FieldWriter w(out);
-  w.PutBytes(1, name);
-  const size_t body = w.Begin(2);
-  EncodeTopicConfigPatch(patch, out);
-  w.End(body);
-}
-
-Status UpdateTopicConfigRequest::DecodeFrom(std::string_view bytes) {
-  // Reused structs decode cleanly: absent fields get defaults.
-  *this = UpdateTopicConfigRequest();
-  FieldReader fields(bytes);
-  uint32_t tag = 0;
-  std::string_view p;
-  while (fields.Next(&tag, &p)) {
-    switch (tag) {
-      case 1:
-        name.assign(p);
-        break;
-      case 2:
-        BB_RETURN_IF_ERROR(DecodeTopicConfigPatch(p, &patch));
-        break;
-      default:
-        break;
-    }
-  }
-  if (fields.error()) return Malformed("UpdateTopicConfigRequest");
-  return Status::OK();
-}
-
-void UpdateTopicConfigResponse::EncodeTo(std::string*) const {}
-
-Status UpdateTopicConfigResponse::DecodeFrom(std::string_view bytes) {
-  FieldReader fields(bytes);
-  uint32_t tag = 0;
-  std::string_view p;
-  while (fields.Next(&tag, &p)) {
-  }
-  if (fields.error()) return Malformed("UpdateTopicConfigResponse");
-  return Status::OK();
-}
-
-void DeleteTopicRequest::EncodeTo(std::string* out) const {
-  FieldWriter w(out);
-  w.PutBytes(1, name);
-  w.PutBool(2, purge_storage);
-}
-
-Status DeleteTopicRequest::DecodeFrom(std::string_view bytes) {
-  // Reused structs decode cleanly: absent fields get defaults.
-  *this = DeleteTopicRequest();
-  FieldReader fields(bytes);
-  uint32_t tag = 0;
-  std::string_view p;
-  while (fields.Next(&tag, &p)) {
-    switch (tag) {
-      case 1:
-        name.assign(p);
-        break;
-      case 2:
-        if (!TakeBool(p, &purge_storage)) {
-          return Malformed("DeleteTopicRequest");
-        }
-        break;
-      default:
-        break;
-    }
-  }
-  if (fields.error()) return Malformed("DeleteTopicRequest");
-  return Status::OK();
-}
-
-void DeleteTopicResponse::EncodeTo(std::string*) const {}
-
-Status DeleteTopicResponse::DecodeFrom(std::string_view bytes) {
-  FieldReader fields(bytes);
-  uint32_t tag = 0;
-  std::string_view p;
-  while (fields.Next(&tag, &p)) {
-  }
-  if (fields.error()) return Malformed("DeleteTopicResponse");
-  return Status::OK();
-}
-
-void ListTopicsRequest::EncodeTo(std::string*) const {}
-
-Status ListTopicsRequest::DecodeFrom(std::string_view bytes) {
-  FieldReader fields(bytes);
-  uint32_t tag = 0;
-  std::string_view p;
-  while (fields.Next(&tag, &p)) {
-  }
-  if (fields.error()) return Malformed("ListTopicsRequest");
-  return Status::OK();
-}
-
-void ListTopicsResponse::EncodeTo(std::string* out) const {
-  FieldWriter w(out);
-  for (const std::string& name : names) w.PutBytes(1, name);
-}
-
-Status ListTopicsResponse::DecodeFrom(std::string_view bytes) {
-  // Reused structs decode cleanly: absent fields get defaults.
-  *this = ListTopicsResponse();
-  FieldReader fields(bytes);
-  uint32_t tag = 0;
-  std::string_view p;
-  while (fields.Next(&tag, &p)) {
-    if (tag == 1) names.emplace_back(p);
-  }
-  if (fields.error()) return Malformed("ListTopicsResponse");
-  return Status::OK();
-}
-
-// ---------------------------------------------------------------------
-// Ingest
-// ---------------------------------------------------------------------
-
-void IngestRequest::EncodeTo(std::string* out) const {
-  FieldWriter w(out);
-  w.PutBytes(1, topic);
-  w.PutBytes(2, text);
-  w.PutU64(3, timestamp_us);
-}
-
-Status IngestRequest::DecodeFrom(std::string_view bytes) {
-  // Reused structs decode cleanly: absent fields get defaults.
-  *this = IngestRequest();
-  FieldReader fields(bytes);
-  uint32_t tag = 0;
-  std::string_view p;
-  while (fields.Next(&tag, &p)) {
-    switch (tag) {
-      case 1:
-        topic.assign(p);
-        break;
-      case 2:
-        text.assign(p);
-        break;
-      case 3:
-        if (!TakeU64(p, &timestamp_us)) return Malformed("IngestRequest");
-        break;
-      default:
-        break;
-    }
-  }
-  if (fields.error()) return Malformed("IngestRequest");
-  return Status::OK();
-}
-
-void IngestResponse::EncodeTo(std::string* out) const {
-  FieldWriter w(out);
-  w.PutU64(1, seq);
-}
-
-Status IngestResponse::DecodeFrom(std::string_view bytes) {
-  // Reused structs decode cleanly: absent fields get defaults.
-  *this = IngestResponse();
-  FieldReader fields(bytes);
-  uint32_t tag = 0;
-  std::string_view p;
-  while (fields.Next(&tag, &p)) {
-    if (tag == 1 && !TakeU64(p, &seq)) return Malformed("IngestResponse");
-  }
-  if (fields.error()) return Malformed("IngestResponse");
-  return Status::OK();
-}
-
-void IngestBatchRequest::EncodeTo(std::string* out) const {
-  FieldWriter w(out);
-  w.PutBytes(1, topic);
-  for (const std::string& text : texts) w.PutBytes(2, text);
-  if (!timestamps_us.empty()) w.PutU64Array(3, timestamps_us);
-}
-
-Status IngestBatchRequest::DecodeFrom(std::string_view bytes) {
-  // One decode loop for both forms: parse as views, then materialize.
-  IngestBatchRequestView view;
-  BB_RETURN_IF_ERROR(view.DecodeFrom(bytes));
-  topic.assign(view.topic);
-  texts.assign(view.texts.begin(), view.texts.end());
-  timestamps_us = std::move(view.timestamps_us);
-  return Status::OK();
-}
-
-void IngestBatchRequestView::EncodeTo(std::string* out) const {
-  FieldWriter w(out);
-  w.PutBytes(1, topic);
-  for (std::string_view text : texts) w.PutBytes(2, text);
-  if (!timestamps_us.empty()) w.PutU64Array(3, timestamps_us);
-}
-
-Status IngestBatchRequestView::DecodeFrom(std::string_view bytes) {
-  // Reused structs decode cleanly: absent fields get defaults.
-  *this = IngestBatchRequestView();
-  FieldReader fields(bytes);
-  uint32_t tag = 0;
-  std::string_view p;
-  while (fields.Next(&tag, &p)) {
-    switch (tag) {
-      case 1:
-        topic = p;
-        break;
-      case 2:
-        texts.push_back(p);
-        break;
-      case 3:
-        if (!FieldReader::U64Array(p, &timestamps_us)) {
-          return Malformed("IngestBatchRequest timestamps");
-        }
-        break;
-      default:
-        break;
-    }
-  }
-  if (fields.error()) return Malformed("IngestBatchRequest");
-  return Status::OK();
-}
-
-void IngestBatchResponse::EncodeTo(std::string* out) const {
-  FieldWriter w(out);
-  w.PutU64Array(1, seqs);
-}
-
-Status IngestBatchResponse::DecodeFrom(std::string_view bytes) {
-  // Reused structs decode cleanly: absent fields get defaults.
-  *this = IngestBatchResponse();
-  FieldReader fields(bytes);
-  uint32_t tag = 0;
-  std::string_view p;
-  while (fields.Next(&tag, &p)) {
-    if (tag == 1 && !FieldReader::U64Array(p, &seqs)) {
-      return Malformed("IngestBatchResponse");
-    }
-  }
-  if (fields.error()) return Malformed("IngestBatchResponse");
-  return Status::OK();
-}
-
-// ---------------------------------------------------------------------
-// Query / stats / training / anomalies
-// ---------------------------------------------------------------------
-
-void QueryRequest::EncodeTo(std::string* out) const {
-  FieldWriter w(out);
-  w.PutBytes(1, topic);
-  w.PutDouble(2, saturation_threshold);
-  w.PutU64(3, begin_seq);
-  w.PutU64(4, end_seq);
-  w.PutU32(5, max_groups);
-  w.PutBytes(6, cursor);
-  w.PutBool(7, include_sequence_numbers);
-  if (min_timestamp_us != 0) w.PutU64(8, min_timestamp_us);
-  if (max_timestamp_us != UINT64_MAX) w.PutU64(9, max_timestamp_us);
-}
-
-Status QueryRequest::DecodeFrom(std::string_view bytes) {
-  // Reused structs decode cleanly: absent fields get defaults.
-  *this = QueryRequest();
-  FieldReader fields(bytes);
-  uint32_t tag = 0;
-  std::string_view p;
-  while (fields.Next(&tag, &p)) {
-    switch (tag) {
-      case 1:
-        topic.assign(p);
-        break;
-      case 2:
-        if (!TakeDouble(p, &saturation_threshold)) goto malformed;
-        break;
-      case 3:
-        if (!TakeU64(p, &begin_seq)) goto malformed;
-        break;
-      case 4:
-        if (!TakeU64(p, &end_seq)) goto malformed;
-        break;
-      case 5:
-        if (!TakeU32(p, &max_groups)) goto malformed;
-        break;
-      case 6:
-        cursor.assign(p);
-        break;
-      case 7:
-        if (!TakeBool(p, &include_sequence_numbers)) goto malformed;
-        break;
-      case 8:
-        if (!TakeU64(p, &min_timestamp_us)) goto malformed;
-        break;
-      case 9:
-        if (!TakeU64(p, &max_timestamp_us)) goto malformed;
-        break;
-      default:
-        break;
-    }
-  }
-  if (fields.error()) goto malformed;
-  return Status::OK();
-malformed:
-  return Malformed("QueryRequest");
-}
-
-namespace {
-
-void EncodeGroup(const TemplateGroup& g, uint32_t tag, FieldWriter* w,
-                 std::string* out) {
-  const size_t body = w->Begin(tag);
-  FieldWriter gw(out);
-  gw.PutU64(1, g.template_id);
-  gw.PutBytes(2, g.template_text);
-  gw.PutDouble(3, g.saturation);
-  gw.PutU64(4, g.count);
-  if (!g.sequence_numbers.empty()) gw.PutU64Array(5, g.sequence_numbers);
-  w->End(body);
-}
-
-Status DecodeGroup(std::string_view bytes, TemplateGroup* g) {
-  FieldReader fields(bytes);
-  uint32_t tag = 0;
-  std::string_view p;
-  while (fields.Next(&tag, &p)) {
-    switch (tag) {
-      case 1:
-        if (!TakeU64(p, &g->template_id)) goto malformed;
-        break;
-      case 2:
-        g->template_text.assign(p);
-        break;
-      case 3:
-        if (!TakeDouble(p, &g->saturation)) goto malformed;
-        break;
-      case 4:
-        if (!TakeU64(p, &g->count)) goto malformed;
-        break;
-      case 5:
-        if (!FieldReader::U64Array(p, &g->sequence_numbers)) goto malformed;
-        break;
-      default:
-        break;
-    }
-  }
-  if (fields.error()) goto malformed;
-  return Status::OK();
-malformed:
-  return Malformed("TemplateGroup");
-}
-
-}  // namespace
-
-void QueryResponse::EncodeTo(std::string* out) const {
-  FieldWriter w(out);
-  for (const TemplateGroup& g : groups) EncodeGroup(g, 1, &w, out);
-  w.PutBytes(2, next_cursor);
-}
-
-Status QueryResponse::DecodeFrom(std::string_view bytes) {
-  // Reused structs decode cleanly: absent fields get defaults.
-  *this = QueryResponse();
-  FieldReader fields(bytes);
-  uint32_t tag = 0;
-  std::string_view p;
-  while (fields.Next(&tag, &p)) {
-    switch (tag) {
-      case 1: {
-        TemplateGroup g;
-        BB_RETURN_IF_ERROR(DecodeGroup(p, &g));
-        groups.push_back(std::move(g));
-        break;
-      }
-      case 2:
-        next_cursor.assign(p);
-        break;
-      default:
-        break;
-    }
-  }
-  if (fields.error()) return Malformed("QueryResponse");
-  return Status::OK();
-}
-
-void GetStatsRequest::EncodeTo(std::string* out) const {
-  FieldWriter w(out);
-  w.PutBytes(1, topic);
-}
-
-Status GetStatsRequest::DecodeFrom(std::string_view bytes) {
-  // Reused structs decode cleanly: absent fields get defaults.
-  *this = GetStatsRequest();
-  FieldReader fields(bytes);
-  uint32_t tag = 0;
-  std::string_view p;
-  while (fields.Next(&tag, &p)) {
-    if (tag == 1) topic.assign(p);
-  }
-  if (fields.error()) return Malformed("GetStatsRequest");
-  return Status::OK();
-}
-
-void GetStatsResponse::EncodeTo(std::string* out) const {
-  FieldWriter w(out);
-  w.PutU64(1, stats.ingested_records);
-  w.PutU64(2, stats.ingested_bytes);
-  w.PutU64(3, stats.trainings);
-  w.PutU64(4, stats.matched_online);
-  w.PutU64(5, stats.adopted_templates);
-  w.PutU64(6, stats.model_bytes);
-  w.PutDouble(7, stats.last_training_seconds);
-  w.PutU64(8, static_cast<uint64_t>(stats.num_templates));
-  w.PutU64(9, stats.async_trainings);
-  w.PutU64(10, stats.pending_trainings);
-  w.PutU64(11, stats.coalesced_triggers);
-  w.PutU64(12, stats.failed_trainings);
-  w.PutDouble(13, stats.last_swap_seconds);
-  w.PutU64(14, stats.shard_merges);
-  w.PutBool(15, stats.storage_persistent);
-  w.PutBool(16, stats.storage_ok);
-  w.PutU64(17, stats.storage_sealed_segments);
-  w.PutU64(18, stats.storage_mapped_bytes);
-  w.PutU64(19, stats.recovered_records);
-  w.PutU64(20, stats.last_snapshot_copied_records);
-  w.PutU64(21, stats.last_snapshot_mapped_records);
-  for (const ShardStats& s : stats.shards) {
-    const size_t body = w.Begin(22);
-    FieldWriter sw(out);
-    sw.PutU64(1, s.records);
-    sw.PutU64(2, s.bytes);
-    sw.PutU64(3, s.matched_shared);
-    sw.PutU64(4, s.matched_pending);
-    sw.PutU64(5, s.adopted);
-    sw.PutU64(6, s.merges);
-    sw.PutU64(7, s.memo_hits);
-    w.End(body);
-  }
-  w.PutU64(23, stats.wal_bytes);
-  w.PutU64(24, stats.wal_group_commits);
-  w.PutU64(25, stats.wal_fsyncs);
-  w.PutU64(26, stats.wal_replayed_records);
-  {
-    const size_t body = w.Begin(27);
-    FieldWriter tw(out);
-    tw.PutU64(1, tenant.admitted_requests);
-    tw.PutU64(2, tenant.denied_requests);
-    tw.PutU64(3, tenant.admitted_bytes);
-    tw.PutU64(4, tenant.denied_bytes);
-    tw.PutU64(5, tenant.admitted_records);
-    tw.PutU64(6, tenant.denied_records);
-    w.End(body);
-  }
-  w.PutU64(28, stats.storage_cache_hits);
-  w.PutU64(29, stats.storage_cache_misses);
-  w.PutU64(30, stats.storage_cache_evictions);
-  w.PutU64(31, stats.storage_index_rebuilds);
-  w.PutU64(32, stats.storage_scan_record_visits);
-  w.PutU64(33, stats.replication_lag_bytes);
-  w.PutU64(34, stats.replication_lag_records);
-  w.PutU64(35, stats.replication_lag_segments);
-  w.PutU32(36, stats.replica_role);
-  w.PutU32(37, stats.last_training_threads);
-}
-
-Status GetStatsResponse::DecodeFrom(std::string_view bytes) {
-  // Reused structs decode cleanly: absent fields get defaults.
-  *this = GetStatsResponse();
-  FieldReader fields(bytes);
-  uint32_t tag = 0;
-  std::string_view p;
-  while (fields.Next(&tag, &p)) {
-    uint64_t u64 = 0;
-    switch (tag) {
-      case 1:
-        if (!TakeU64(p, &stats.ingested_records)) goto malformed;
-        break;
-      case 2:
-        if (!TakeU64(p, &stats.ingested_bytes)) goto malformed;
-        break;
-      case 3:
-        if (!TakeU64(p, &stats.trainings)) goto malformed;
-        break;
-      case 4:
-        if (!TakeU64(p, &stats.matched_online)) goto malformed;
-        break;
-      case 5:
-        if (!TakeU64(p, &stats.adopted_templates)) goto malformed;
-        break;
-      case 6:
-        if (!TakeU64(p, &stats.model_bytes)) goto malformed;
-        break;
-      case 7:
-        if (!TakeDouble(p, &stats.last_training_seconds)) goto malformed;
-        break;
-      case 8:
-        if (!TakeU64(p, &u64)) goto malformed;
-        stats.num_templates = static_cast<size_t>(u64);
-        break;
-      case 9:
-        if (!TakeU64(p, &stats.async_trainings)) goto malformed;
-        break;
-      case 10:
-        if (!TakeU64(p, &stats.pending_trainings)) goto malformed;
-        break;
-      case 11:
-        if (!TakeU64(p, &stats.coalesced_triggers)) goto malformed;
-        break;
-      case 12:
-        if (!TakeU64(p, &stats.failed_trainings)) goto malformed;
-        break;
-      case 13:
-        if (!TakeDouble(p, &stats.last_swap_seconds)) goto malformed;
-        break;
-      case 14:
-        if (!TakeU64(p, &stats.shard_merges)) goto malformed;
-        break;
-      case 15:
-        if (!TakeBool(p, &stats.storage_persistent)) goto malformed;
-        break;
-      case 16:
-        if (!TakeBool(p, &stats.storage_ok)) goto malformed;
-        break;
-      case 17:
-        if (!TakeU64(p, &stats.storage_sealed_segments)) goto malformed;
-        break;
-      case 18:
-        if (!TakeU64(p, &stats.storage_mapped_bytes)) goto malformed;
-        break;
-      case 19:
-        if (!TakeU64(p, &stats.recovered_records)) goto malformed;
-        break;
-      case 20:
-        if (!TakeU64(p, &stats.last_snapshot_copied_records)) goto malformed;
-        break;
-      case 21:
-        if (!TakeU64(p, &stats.last_snapshot_mapped_records)) goto malformed;
-        break;
-      case 22: {
-        ShardStats s;
-        FieldReader sr(p);
-        uint32_t stag = 0;
-        std::string_view sp;
-        while (sr.Next(&stag, &sp)) {
-          switch (stag) {
-            case 1:
-              if (!TakeU64(sp, &s.records)) goto malformed;
-              break;
-            case 2:
-              if (!TakeU64(sp, &s.bytes)) goto malformed;
-              break;
-            case 3:
-              if (!TakeU64(sp, &s.matched_shared)) goto malformed;
-              break;
-            case 4:
-              if (!TakeU64(sp, &s.matched_pending)) goto malformed;
-              break;
-            case 5:
-              if (!TakeU64(sp, &s.adopted)) goto malformed;
-              break;
-            case 6:
-              if (!TakeU64(sp, &s.merges)) goto malformed;
-              break;
-            case 7:
-              if (!TakeU64(sp, &s.memo_hits)) goto malformed;
-              break;
-            default:
-              break;
-          }
-        }
-        if (sr.error()) goto malformed;
-        stats.shards.push_back(s);
-        break;
-      }
-      case 23:
-        if (!TakeU64(p, &stats.wal_bytes)) goto malformed;
-        break;
-      case 24:
-        if (!TakeU64(p, &stats.wal_group_commits)) goto malformed;
-        break;
-      case 25:
-        if (!TakeU64(p, &stats.wal_fsyncs)) goto malformed;
-        break;
-      case 26:
-        if (!TakeU64(p, &stats.wal_replayed_records)) goto malformed;
-        break;
-      case 28:
-        if (!TakeU64(p, &stats.storage_cache_hits)) goto malformed;
-        break;
-      case 29:
-        if (!TakeU64(p, &stats.storage_cache_misses)) goto malformed;
-        break;
-      case 30:
-        if (!TakeU64(p, &stats.storage_cache_evictions)) goto malformed;
-        break;
-      case 31:
-        if (!TakeU64(p, &stats.storage_index_rebuilds)) goto malformed;
-        break;
-      case 32:
-        if (!TakeU64(p, &stats.storage_scan_record_visits)) goto malformed;
-        break;
-      case 33:
-        if (!TakeU64(p, &stats.replication_lag_bytes)) goto malformed;
-        break;
-      case 34:
-        if (!TakeU64(p, &stats.replication_lag_records)) goto malformed;
-        break;
-      case 35:
-        if (!TakeU64(p, &stats.replication_lag_segments)) goto malformed;
-        break;
-      case 36:
-        if (!TakeU32(p, &stats.replica_role)) goto malformed;
-        break;
-      case 37:
-        if (!TakeU32(p, &stats.last_training_threads)) goto malformed;
-        break;
-      case 27: {
-        FieldReader tr(p);
-        uint32_t ttag = 0;
-        std::string_view tp;
-        while (tr.Next(&ttag, &tp)) {
-          switch (ttag) {
-            case 1:
-              if (!TakeU64(tp, &tenant.admitted_requests)) goto malformed;
-              break;
-            case 2:
-              if (!TakeU64(tp, &tenant.denied_requests)) goto malformed;
-              break;
-            case 3:
-              if (!TakeU64(tp, &tenant.admitted_bytes)) goto malformed;
-              break;
-            case 4:
-              if (!TakeU64(tp, &tenant.denied_bytes)) goto malformed;
-              break;
-            case 5:
-              if (!TakeU64(tp, &tenant.admitted_records)) goto malformed;
-              break;
-            case 6:
-              if (!TakeU64(tp, &tenant.denied_records)) goto malformed;
-              break;
-            default:
-              break;
-          }
-        }
-        if (tr.error()) goto malformed;
-        break;
-      }
-      default:
-        break;
-    }
-  }
-  if (fields.error()) goto malformed;
-  return Status::OK();
-malformed:
-  return Malformed("GetStatsResponse");
-}
-
-void TrainNowRequest::EncodeTo(std::string* out) const {
-  FieldWriter w(out);
-  w.PutBytes(1, topic);
-}
-
-Status TrainNowRequest::DecodeFrom(std::string_view bytes) {
-  // Reused structs decode cleanly: absent fields get defaults.
-  *this = TrainNowRequest();
-  FieldReader fields(bytes);
-  uint32_t tag = 0;
-  std::string_view p;
-  while (fields.Next(&tag, &p)) {
-    if (tag == 1) topic.assign(p);
-  }
-  if (fields.error()) return Malformed("TrainNowRequest");
-  return Status::OK();
-}
-
-void TrainNowResponse::EncodeTo(std::string*) const {}
-
-Status TrainNowResponse::DecodeFrom(std::string_view bytes) {
-  FieldReader fields(bytes);
-  uint32_t tag = 0;
-  std::string_view p;
-  while (fields.Next(&tag, &p)) {
-  }
-  if (fields.error()) return Malformed("TrainNowResponse");
-  return Status::OK();
-}
-
-void DetectAnomaliesRequest::EncodeTo(std::string* out) const {
-  FieldWriter w(out);
-  w.PutBytes(1, topic);
-  w.PutU64(2, window1_begin);
-  w.PutU64(3, window1_end);
-  w.PutU64(4, window2_begin);
-  w.PutU64(5, window2_end);
-  w.PutDouble(6, min_change_ratio);
-}
-
-Status DetectAnomaliesRequest::DecodeFrom(std::string_view bytes) {
-  // Reused structs decode cleanly: absent fields get defaults.
-  *this = DetectAnomaliesRequest();
-  FieldReader fields(bytes);
-  uint32_t tag = 0;
-  std::string_view p;
-  while (fields.Next(&tag, &p)) {
-    switch (tag) {
-      case 1:
-        topic.assign(p);
-        break;
-      case 2:
-        if (!TakeU64(p, &window1_begin)) goto malformed;
-        break;
-      case 3:
-        if (!TakeU64(p, &window1_end)) goto malformed;
-        break;
-      case 4:
-        if (!TakeU64(p, &window2_begin)) goto malformed;
-        break;
-      case 5:
-        if (!TakeU64(p, &window2_end)) goto malformed;
-        break;
-      case 6:
-        if (!TakeDouble(p, &min_change_ratio)) goto malformed;
-        break;
-      default:
-        break;
-    }
-  }
-  if (fields.error()) goto malformed;
-  return Status::OK();
-malformed:
-  return Malformed("DetectAnomaliesRequest");
-}
-
-void DetectAnomaliesResponse::EncodeTo(std::string* out) const {
-  FieldWriter w(out);
-  for (const TemplateAnomaly& a : anomalies) {
-    const size_t body = w.Begin(1);
-    FieldWriter aw(out);
-    aw.PutU64(1, a.template_id);
-    aw.PutBytes(2, a.template_text);
-    aw.PutU64(3, a.count_before);
-    aw.PutU64(4, a.count_after);
-    aw.PutBool(5, a.is_new);
-    aw.PutDouble(6, a.change_ratio);
-    w.End(body);
-  }
-}
-
-Status DetectAnomaliesResponse::DecodeFrom(std::string_view bytes) {
-  // Reused structs decode cleanly: absent fields get defaults.
-  *this = DetectAnomaliesResponse();
-  FieldReader fields(bytes);
-  uint32_t tag = 0;
-  std::string_view p;
-  while (fields.Next(&tag, &p)) {
-    if (tag != 1) continue;
-    TemplateAnomaly a;
-    FieldReader ar(p);
-    uint32_t atag = 0;
-    std::string_view ap;
-    while (ar.Next(&atag, &ap)) {
-      switch (atag) {
-        case 1:
-          if (!TakeU64(ap, &a.template_id)) goto malformed;
-          break;
-        case 2:
-          a.template_text.assign(ap);
-          break;
-        case 3:
-          if (!TakeU64(ap, &a.count_before)) goto malformed;
-          break;
-        case 4:
-          if (!TakeU64(ap, &a.count_after)) goto malformed;
-          break;
-        case 5:
-          if (!TakeBool(ap, &a.is_new)) goto malformed;
-          break;
-        case 6:
-          if (!TakeDouble(ap, &a.change_ratio)) goto malformed;
-          break;
-        default:
-          break;
-      }
-    }
-    if (ar.error()) goto malformed;
-    anomalies.push_back(std::move(a));
-  }
-  if (fields.error()) goto malformed;
-  return Status::OK();
-malformed:
-  return Malformed("DetectAnomaliesResponse");
-}
-
-// ---------------------------------------------------------------------
-// Replication (v2)
-// ---------------------------------------------------------------------
-
-void ReplPullRequest::EncodeTo(std::string* out) const {
-  FieldWriter w(out);
-  w.PutBytes(1, topic);
-  w.PutU64(2, segment_index);
-  w.PutU64(3, offset);
-  w.PutU64(4, max_bytes);
-  w.PutU64(5, model_generation);
-  w.PutBool(6, want_config);
-}
-
-Status ReplPullRequest::DecodeFrom(std::string_view bytes) {
-  // Reused structs decode cleanly: absent fields get defaults.
-  *this = ReplPullRequest();
-  FieldReader fields(bytes);
-  uint32_t tag = 0;
-  std::string_view p;
-  while (fields.Next(&tag, &p)) {
-    switch (tag) {
-      case 1:
-        topic.assign(p);
-        break;
-      case 2:
-        if (!TakeU64(p, &segment_index)) goto malformed;
-        break;
-      case 3:
-        if (!TakeU64(p, &offset)) goto malformed;
-        break;
-      case 4:
-        if (!TakeU64(p, &max_bytes)) goto malformed;
-        break;
-      case 5:
-        if (!TakeU64(p, &model_generation)) goto malformed;
-        break;
-      case 6:
-        if (!TakeBool(p, &want_config)) goto malformed;
-        break;
-      default:
-        break;
-    }
-  }
-  if (fields.error()) goto malformed;
-  return Status::OK();
-malformed:
-  return Malformed("ReplPullRequest");
-}
-
-void ReplPullResponse::EncodeTo(std::string* out) const {
-  FieldWriter w(out);
-  for (const std::string& name : topics) w.PutBytes(1, name);
-  w.PutU64(2, segment_index);
-  w.PutU64(3, offset);
-  w.PutBytes(4, data);
-  w.PutBool(5, segment_sealed);
-  w.PutU64(6, segment_records);
-  w.PutU64(7, segment_checksum);
-  w.PutU64(8, segment_data_len);
-  w.PutU64(9, source_records);
-  w.PutU64(10, source_segments);
-  w.PutU64(11, source_bytes);
-  w.PutBool(12, has_config);
-  if (has_config) {
-    const size_t cfg = w.Begin(13);
-    EncodeTopicConfig(config, out);
-    w.End(cfg);
-  }
-  w.PutBool(14, has_model);
-  if (has_model) w.PutBytes(15, model_blob);
-  w.PutU64(16, model_generation);
-}
-
-Status ReplPullResponse::DecodeFrom(std::string_view bytes) {
-  // Reused structs decode cleanly: absent fields get defaults.
-  *this = ReplPullResponse();
-  FieldReader fields(bytes);
-  uint32_t tag = 0;
-  std::string_view p;
-  while (fields.Next(&tag, &p)) {
-    switch (tag) {
-      case 1:
-        topics.emplace_back(p);
-        break;
-      case 2:
-        if (!TakeU64(p, &segment_index)) goto malformed;
-        break;
-      case 3:
-        if (!TakeU64(p, &offset)) goto malformed;
-        break;
-      case 4:
-        data.assign(p);
-        break;
-      case 5:
-        if (!TakeBool(p, &segment_sealed)) goto malformed;
-        break;
-      case 6:
-        if (!TakeU64(p, &segment_records)) goto malformed;
-        break;
-      case 7:
-        if (!TakeU64(p, &segment_checksum)) goto malformed;
-        break;
-      case 8:
-        if (!TakeU64(p, &segment_data_len)) goto malformed;
-        break;
-      case 9:
-        if (!TakeU64(p, &source_records)) goto malformed;
-        break;
-      case 10:
-        if (!TakeU64(p, &source_segments)) goto malformed;
-        break;
-      case 11:
-        if (!TakeU64(p, &source_bytes)) goto malformed;
-        break;
-      case 12:
-        if (!TakeBool(p, &has_config)) goto malformed;
-        break;
-      case 13:
-        BB_RETURN_IF_ERROR(DecodeTopicConfig(p, &config));
-        break;
-      case 14:
-        if (!TakeBool(p, &has_model)) goto malformed;
-        break;
-      case 15:
-        model_blob.assign(p);
-        break;
-      case 16:
-        if (!TakeU64(p, &model_generation)) goto malformed;
-        break;
-      default:
-        break;
-    }
-  }
-  if (fields.error()) goto malformed;
-  return Status::OK();
-malformed:
-  return Malformed("ReplPullResponse");
-}
-
-void PromoteRequest::EncodeTo(std::string*) const {}
-
-Status PromoteRequest::DecodeFrom(std::string_view bytes) {
-  FieldReader fields(bytes);
-  uint32_t tag = 0;
-  std::string_view p;
-  while (fields.Next(&tag, &p)) {
-  }
-  if (fields.error()) return Malformed("PromoteRequest");
-  return Status::OK();
-}
-
-void PromoteResponse::EncodeTo(std::string* out) const {
-  FieldWriter w(out);
-  w.PutU64(1, sealed_topics);
-}
-
-Status PromoteResponse::DecodeFrom(std::string_view bytes) {
-  // Reused structs decode cleanly: absent fields get defaults.
-  *this = PromoteResponse();
-  FieldReader fields(bytes);
-  uint32_t tag = 0;
-  std::string_view p;
-  while (fields.Next(&tag, &p)) {
-    if (tag == 1 && !TakeU64(p, &sealed_topics)) {
-      return Malformed("PromoteResponse");
-    }
-  }
-  if (fields.error()) return Malformed("PromoteResponse");
-  return Status::OK();
-}
-
-void DemoteRequest::EncodeTo(std::string*) const {}
-
-Status DemoteRequest::DecodeFrom(std::string_view bytes) {
-  FieldReader fields(bytes);
-  uint32_t tag = 0;
-  std::string_view p;
-  while (fields.Next(&tag, &p)) {
-  }
-  if (fields.error()) return Malformed("DemoteRequest");
-  return Status::OK();
-}
-
-void DemoteResponse::EncodeTo(std::string*) const {}
-
-Status DemoteResponse::DecodeFrom(std::string_view bytes) {
-  FieldReader fields(bytes);
-  uint32_t tag = 0;
-  std::string_view p;
-  while (fields.Next(&tag, &p)) {
-  }
-  if (fields.error()) return Malformed("DemoteResponse");
-  return Status::OK();
-}
+#undef BB_WIRE_MESSAGE
 
 }  // namespace api
 }  // namespace bytebrain

@@ -11,14 +11,19 @@
 //    (kApiVersion). Everything after it — and every message body — is a
 //    sequence of tagged fields (util/serde.h FieldWriter/FieldReader):
 //    (u32 tag, u32 byte-length, payload).
+//  * Each message's fields are described ONCE, by its Fields() list
+//    (api/wire.h; the lists live in messages.cc, the envelope frames'
+//    below). That list drives both EncodeTo and DecodeFrom: adding a
+//    field is one line in it. Tags are listed in encode order.
 //  * Decoders SKIP unknown tags, so a newer peer may add fields under
 //    fresh tags without breaking older decoders (forward
 //    compatibility). A tag, once shipped, is frozen: never reuse a
 //    retired tag for a different meaning.
 //  * Absent fields decode to the struct's default member value.
 //  * Decoding NEVER crashes: truncated, oversized, or corrupted bytes
-//    surface as a Status (Corruption for broken framing,
-//    InvalidArgument for well-framed but meaningless values).
+//    surface as a Status (Corruption for broken framing or a scalar of
+//    the wrong width, InvalidArgument for well-framed but meaningless
+//    values such as an unknown enum).
 //  * Status codes cross the wire as the numeric values of
 //    Status::Code; those enum values are therefore part of the wire
 //    format and frozen.
@@ -29,6 +34,7 @@
 #include <string_view>
 #include <vector>
 
+#include "api/wire.h"
 #include "service/log_service.h"
 #include "util/serde.h"
 #include "util/status.h"
@@ -477,26 +483,73 @@ struct DemoteResponse {
 /// back as Corruption (they indicate a framing bug or a newer peer).
 Status StatusFromWire(uint32_t code, std::string message);
 
+/// The envelopes' wire layout: the fixed u32 version word, then these
+/// fields. `Payload` is the method message's encoded bytes
+/// (std::string_view) for the envelope structs, or a pointer to the
+/// message itself for EncodeRequest/EncodeResponse, which encode it in
+/// place as the nested body field (no intermediate payload string; a
+/// null pointer omits the field).
+template <typename Payload>
+struct RequestFrame {
+  uint32_t api_version = kApiVersion;
+  ApiMethod method = ApiMethod::kUnknown;
+  std::string_view tenant;
+  Payload payload{};
+  uint64_t request_id = 0;
+  std::string_view auth_token;
+};
+
+template <typename Payload, class V>
+void Fields(RequestFrame<Payload>& m, V& v) {
+  v(1, m.method);
+  v(2, m.tenant);
+  v(3, m.payload);
+  v.If(m.request_id != 0, 4, m.request_id);
+  v.If(!m.auth_token.empty(), 5, m.auth_token);
+}
+
+template <typename Payload>
+struct ResponseFrame {
+  uint32_t api_version = kApiVersion;
+  uint32_t code = 0;
+  std::string_view message;
+  uint64_t retry_after_us = 0;
+  Payload payload{};
+  uint64_t request_id = 0;
+};
+
+template <typename Payload, class V>
+void Fields(ResponseFrame<Payload>& m, V& v) {
+  v(1, m.code);
+  v(2, m.message);
+  v(3, m.retry_after_us);
+  v(4, m.payload);
+  v.If(m.request_id != 0, 5, m.request_id);
+}
+
+template <typename Frame>
+void EncodeFrame(const Frame& frame, std::string* out) {
+  ByteWriter(out).PutU32(frame.api_version);
+  EncodeFields(frame, out);
+}
+
 /// Client-side convenience: one encoded request envelope for `msg`,
-/// with the payload encoded in place (no intermediate payload string —
-/// the envelope's nested-field length is backpatched). Byte-identical
-/// to RequestEnvelope::EncodeTo over the same content. `request_id`
-/// and `auth_token` are the v2 envelope fields; their zero/empty
-/// defaults keep the output decodable by a v1 peer's semantics.
+/// with the payload encoded in place. Byte-identical to
+/// RequestEnvelope::EncodeTo over the same content. `request_id` and
+/// `auth_token` are the v2 envelope fields; their zero/empty defaults
+/// keep the output decodable by a v1 peer's semantics.
 template <typename Request>
 std::string EncodeRequest(ApiMethod method, std::string_view tenant,
                           const Request& msg, uint64_t request_id = 0,
                           std::string_view auth_token = {}) {
+  RequestFrame<const Request*> frame;
+  frame.method = method;
+  frame.tenant = tenant;
+  frame.payload = &msg;
+  frame.request_id = request_id;
+  frame.auth_token = auth_token;
   std::string out;
-  ByteWriter(&out).PutU32(kApiVersion);
-  FieldWriter w(&out);
-  w.PutU32(1, static_cast<uint32_t>(method));
-  w.PutBytes(2, tenant);
-  const size_t body = w.Begin(3);
-  msg.EncodeTo(&out);
-  w.End(body);
-  if (request_id != 0) w.PutU64(4, request_id);
-  if (!auth_token.empty()) w.PutBytes(5, auth_token);
+  EncodeFrame(frame, &out);
   return out;
 }
 
@@ -507,18 +560,14 @@ std::string EncodeRequest(ApiMethod method, std::string_view tenant,
 template <typename Response>
 std::string EncodeResponse(const Status& status, uint64_t retry_after_us,
                            const Response* msg, uint64_t request_id = 0) {
+  ResponseFrame<const Response*> frame;
+  frame.code = static_cast<uint32_t>(status.code());
+  frame.message = status.message();
+  frame.retry_after_us = retry_after_us;
+  if (status.ok()) frame.payload = msg;
+  frame.request_id = request_id;
   std::string out;
-  ByteWriter(&out).PutU32(kApiVersion);
-  FieldWriter w(&out);
-  w.PutU32(1, static_cast<uint32_t>(status.code()));
-  w.PutBytes(2, status.message());
-  w.PutU64(3, retry_after_us);
-  if (status.ok() && msg != nullptr) {
-    const size_t body = w.Begin(4);
-    msg->EncodeTo(&out);
-    w.End(body);
-  }
-  if (request_id != 0) w.PutU64(5, request_id);
+  EncodeFrame(frame, &out);
   return out;
 }
 

@@ -492,6 +492,116 @@ TEST(ApiMessagesTest, TruncatedAndCorruptedBytesNeverCrash) {
   EXPECT_FALSE(got.DecodeFrom(bytes.substr(0, bytes.size() - 1)).ok());
 }
 
+// The same property for EVERY decoder: one populated sample per message
+// type (repeated fields with several entries, nested messages filled),
+// each followed by an unknown field so empty messages have bytes to
+// mangle too.
+TEST(ApiMessagesTest, EveryDecoderSurvivesTruncationAndCorruption) {
+  TopicConfig config;
+  config.storage.kind = StorageConfig::Kind::kSegmentedDisk;
+  config.storage.directory = "/data/t";
+  config.variable_rules = {{"hex", "0x[0-9a-f]+"}, {"id", "id-[0-9]+"}};
+  config.durability = DurabilityMode::kWalAsync;
+  TopicConfigPatch patch;
+  patch.max_train_records = 9;
+  patch.num_threads = 3;
+  patch.async_training = false;
+  TemplateGroup group;
+  group.template_id = 4;
+  group.template_text = "a * b";
+  group.count = 2;
+  group.sequence_numbers = {7, 8};
+  TemplateAnomaly anomaly;
+  anomaly.template_id = 5;
+  anomaly.template_text = "c *";
+  anomaly.is_new = true;
+
+  RequestEnvelope request_env;
+  request_env.method = ApiMethod::kQuery;
+  request_env.tenant = "acme";
+  request_env.payload = "body";
+  request_env.request_id = 17;
+  request_env.auth_token = "token";
+  ResponseEnvelope response_env;
+  response_env.status = Status::NotFound("gone");
+  response_env.retry_after_us = 3;
+  response_env.payload = "body";
+  response_env.request_id = 17;
+  CreateTopicRequest create;
+  create.name = "events";
+  create.config = config;
+  UpdateTopicConfigRequest update;
+  update.name = "events";
+  update.patch = patch;
+  DeleteTopicRequest drop;
+  drop.name = "events";
+  drop.purge_storage = false;
+  ListTopicsResponse list;
+  list.names = {"a", "b"};
+  IngestRequest ingest;
+  ingest.topic = "events";
+  ingest.text = "hello";
+  ingest.timestamp_us = 6;
+  IngestResponse ingested;
+  ingested.seq = 11;
+  IngestBatchRequest batch;
+  batch.topic = "events";
+  batch.texts = {"x", "yy", "zzz"};
+  batch.timestamps_us = {1, 2, 3};
+  IngestBatchResponse acked;
+  acked.seqs = {4, 5, 6};
+  QueryRequest query;
+  query.topic = "events";
+  query.cursor = "cursor";
+  query.min_timestamp_us = 10;
+  query.max_timestamp_us = 20;
+  QueryResponse page;
+  page.groups = {group, group};
+  page.next_cursor = "next";
+  GetStatsRequest stats_req;
+  stats_req.topic = "events";
+  GetStatsResponse stats;
+  stats.stats.ingested_records = 12;
+  stats.stats.shards.resize(2);
+  stats.tenant.denied_records = 13;
+  TrainNowRequest train;
+  train.topic = "events";
+  DetectAnomaliesRequest detect;
+  detect.topic = "events";
+  detect.window2_end = 14;
+  DetectAnomaliesResponse anomalies;
+  anomalies.anomalies = {anomaly, anomaly};
+  ReplPullRequest pull;
+  pull.topic = "acme/events";
+  pull.want_config = true;
+  ReplPullResponse chunk;
+  chunk.topics = {"acme/a", "acme/b"};
+  chunk.data = "frames";
+  chunk.has_config = true;
+  chunk.config = config;
+  chunk.has_model = true;
+  chunk.model_blob = "model";
+  PromoteResponse promoted;
+  promoted.sealed_topics = 2;
+
+  std::string unknown;
+  FieldWriter(&unknown).PutBytes(999, "future");
+  const auto check = [&unknown](const auto&... msgs) {
+    (ExpectRobustDecoding<std::decay_t<decltype(msgs)>>(Encode(msgs) +
+                                                         unknown),
+     ...);
+  };
+  check(request_env, response_env, create, CreateTopicResponse(), update,
+        UpdateTopicConfigResponse(), drop, DeleteTopicResponse(),
+        ListTopicsRequest(), list, ingest, ingested, batch, acked, query,
+        page, stats_req, stats, train, TrainNowResponse(), detect, anomalies,
+        pull, chunk, PromoteRequest(), promoted, DemoteRequest(),
+        DemoteResponse());
+  // The view decoders read the owning forms' bytes.
+  ExpectRobustDecoding<RequestEnvelopeView>(Encode(request_env) + unknown);
+  ExpectRobustDecoding<IngestBatchRequestView>(Encode(batch) + unknown);
+}
+
 TEST(ApiFrontendTest, DispatchOnGarbageNeverCrashes) {
   ServiceFrontend frontend;
   std::mt19937_64 rng(0xFADEFEED);
@@ -775,6 +885,42 @@ TEST(ApiFrontendTest, PaginatedQueryEqualsUnpaginated) {
   EXPECT_TRUE(frontend.Query("acme", query, &broken).IsInvalidArgument());
 }
 
+// A cursor is client-held bytes: every truncation and a seeded fuzz of
+// byte flips of a real one must come back OK or InvalidArgument.
+TEST(ApiFrontendTest, MangledCursorsAreRejectedOrServed) {
+  ServiceFrontend frontend;
+  ASSERT_TRUE(CreateSmallTopic(frontend, "acme", "events").ok());
+  std::vector<std::string> texts;
+  for (int i = 0; i < 60; ++i) {
+    texts.push_back(SshLog(i));
+    texts.push_back(DiskLog(i));
+  }
+  ASSERT_TRUE(IngestTexts(frontend, "acme", "events", texts).ok());
+  QueryRequest query;
+  query.topic = "events";
+  query.max_groups = 1;
+  QueryResponse first;
+  ASSERT_TRUE(frontend.Query("acme", query, &first).ok());
+  const std::string cursor = first.next_cursor;
+  ASSERT_FALSE(cursor.empty());
+
+  const auto expect_verdict = [&](const std::string& mangled) {
+    query.cursor = mangled;
+    QueryResponse page;
+    const Status s = frontend.Query("acme", query, &page);
+    EXPECT_TRUE(s.ok() || s.IsInvalidArgument()) << s.ToString();
+  };
+  for (size_t len = 1; len < cursor.size(); ++len) {
+    expect_verdict(cursor.substr(0, len));
+  }
+  std::mt19937_64 rng(0xC0B5EED);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::string mutated = cursor;
+    mutated[rng() % mutated.size()] = static_cast<char>(rng() & 0xFF);
+    expect_verdict(mutated);
+  }
+}
+
 // ---------------------------------------------------------------------
 // Admission control
 // ---------------------------------------------------------------------
@@ -928,6 +1074,43 @@ TEST(ApiFrontendTest, OversizedBatchAdmittedOnlyAgainstFullBucket) {
   fake_now_us += retry_after_us;
   EXPECT_TRUE(
       IngestTexts(frontend, "acme", "t", {SshLog(0)}, &retry_after_us).ok());
+}
+
+TEST(ApiFrontendTest, MalformedBatchIsRejectedBeforeAdmission) {
+  uint64_t fake_now_us = 1'000'000;
+  FrontendConfig config;
+  config.max_ingest_records_per_sec = 100;  // capacity: 100
+  config.clock_us = [&fake_now_us] { return fake_now_us; };
+  ServiceFrontend frontend(config);
+  ASSERT_TRUE(CreateSmallTopic(frontend, "acme", "t").ok());
+
+  // Three texts, one timestamp: through the typed call and the wire.
+  IngestBatchRequest bad;
+  bad.topic = "t";
+  bad.texts = {SshLog(1), SshLog(2), SshLog(3)};
+  bad.timestamps_us = {7};
+  IngestBatchResponse resp;
+  EXPECT_TRUE(frontend.IngestBatch("acme", bad, &resp).IsInvalidArgument());
+  IngestBatchResponse wire_resp;
+  const std::string response = frontend.Dispatch(
+      EncodeRequest(ApiMethod::kIngestBatch, "acme", bad));
+  EXPECT_TRUE(DecodeResponse(response, &wire_resp).IsInvalidArgument());
+
+  GetStatsRequest stats_req;
+  stats_req.topic = "t";
+  GetStatsResponse stats;
+  ASSERT_TRUE(frontend.GetStats("acme", stats_req, &stats).ok());
+  EXPECT_EQ(stats.stats.ingested_records, 0u);
+  EXPECT_EQ(stats.tenant.admitted_requests, 0u);
+  EXPECT_EQ(stats.tenant.admitted_records, 0u);
+  EXPECT_EQ(stats.tenant.admitted_bytes, 0u);
+  EXPECT_EQ(stats.tenant.denied_requests, 0u);
+
+  // The bucket is still full: a batch of exactly its capacity passes,
+  // with no refill time elapsed.
+  std::vector<std::string> full;
+  for (int i = 0; i < 100; ++i) full.push_back(SshLog(i));
+  EXPECT_TRUE(IngestTexts(frontend, "acme", "t", full).ok());
 }
 
 TEST(ApiFrontendTest, InflightBatchCapRefusesConcurrentBatch) {
