@@ -492,6 +492,11 @@ TEST(ApiMessagesTest, TruncatedAndCorruptedBytesNeverCrash) {
   EXPECT_FALSE(got.DecodeFrom(bytes.substr(0, bytes.size() - 1)).ok());
 }
 
+template <typename... Msgs>
+void ExpectAllRobust(const std::string& suffix, const Msgs&... msgs) {
+  (ExpectRobustDecoding<Msgs>(Encode(msgs) + suffix), ...);
+}
+
 // The same property for EVERY decoder: one populated sample per message
 // type (repeated fields with several entries, nested messages filled),
 // each followed by an unknown field so empty messages have bytes to
@@ -586,17 +591,13 @@ TEST(ApiMessagesTest, EveryDecoderSurvivesTruncationAndCorruption) {
 
   std::string unknown;
   FieldWriter(&unknown).PutBytes(999, "future");
-  const auto check = [&unknown](const auto&... msgs) {
-    (ExpectRobustDecoding<std::decay_t<decltype(msgs)>>(Encode(msgs) +
-                                                         unknown),
-     ...);
-  };
-  check(request_env, response_env, create, CreateTopicResponse(), update,
-        UpdateTopicConfigResponse(), drop, DeleteTopicResponse(),
-        ListTopicsRequest(), list, ingest, ingested, batch, acked, query,
-        page, stats_req, stats, train, TrainNowResponse(), detect, anomalies,
-        pull, chunk, PromoteRequest(), promoted, DemoteRequest(),
-        DemoteResponse());
+  ExpectAllRobust(unknown, request_env, response_env, create,
+                  CreateTopicResponse(), update, UpdateTopicConfigResponse(),
+                  drop, DeleteTopicResponse(), ListTopicsRequest(), list,
+                  ingest, ingested, batch, acked, query, page, stats_req,
+                  stats, train, TrainNowResponse(), detect, anomalies, pull,
+                  chunk, PromoteRequest(), promoted, DemoteRequest(),
+                  DemoteResponse());
   // The view decoders read the owning forms' bytes.
   ExpectRobustDecoding<RequestEnvelopeView>(Encode(request_env) + unknown);
   ExpectRobustDecoding<IngestBatchRequestView>(Encode(batch) + unknown);
