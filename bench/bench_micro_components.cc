@@ -422,16 +422,12 @@ void BM_TopicIngestAsyncRetrain(benchmark::State& state) {
 }
 BENCHMARK(BM_TopicIngestAsyncRetrain)->Arg(0)->Arg(1);
 
-// Sharded batch ingest on an adopt-heavy workload: every 32nd record is
-// a novel shape the trained model misses (the rest are duplicates of it
-// with different variable values), so the exclusive adopt/append section
-// dominates. Arg = num_ingest_shards; 1 is the plain path (adoption
-// under the exclusive lock invalidates the batch's prematch, so the
-// tail re-matches serially), >1 routes shapes to shards by content hash
-// — duplicates colocate and collapse into one match/adopt per shape —
-// and folds the shard-local temporaries once per batch.
-void BM_TopicIngestSharded(benchmark::State& state) {
-  const int shards = static_cast<int>(state.range(0));
+// Batch ingest on an adopt-heavy workload: every 32nd record is a novel
+// shape the trained model misses (the rest are duplicates of it with
+// different variable values), so the exclusive adopt/append section
+// dominates: each adoption invalidates the batch's prematch, and the
+// rest of the batch re-matches under the lock.
+void BM_TopicIngestAdoptHeavy(benchmark::State& state) {
   constexpr size_t kBatch = 256;
   constexpr int kShapesPerBatch = 8;   // x32 duplicates = 256 records
   constexpr int kBatches = 12;
@@ -440,8 +436,7 @@ void BM_TopicIngestSharded(benchmark::State& state) {
   // every shape genuinely misses and must be adopted — the model's
   // roots are per-length wildcard templates, and a novel log with a
   // SEEN length would match a root at saturation 0 instead of adopting.
-  // Duplicates of a shape differ only in a replaced variable (the IP),
-  // so they collapse onto one content hash.
+  // Duplicates of a shape differ only in a replaced variable (the IP).
   const auto& logs = SampleLogs();
   auto novel = [](int shape, int dup) {
     return "subsystem" + std::to_string(shape) + " failure code " +
@@ -451,19 +446,13 @@ void BM_TopicIngestSharded(benchmark::State& state) {
            std::to_string(shape);
   };
   uint64_t adopted = 0;
-  uint64_t merges = 0;
   for (auto _ : state) {
     state.PauseTiming();
     TopicConfig config;
     config.initial_train_records = 1024;
     config.train_interval_records = 1u << 30;
     config.train_volume_bytes = 1ull << 40;
-    // One matching thread: on the 1-core reference container this
-    // measures the algorithmic effect of sharding (dedup by content
-    // hash, no prematch invalidation cascade) rather than pool handoff;
-    // multi-core machines additionally get shard parallelism.
     config.num_threads = 1;
-    config.num_ingest_shards = shards;
     ManagedTopic topic("bench", config);
     for (size_t i = 0; i < 1024; ++i) {
       if (!topic.Ingest(std::string(logs[i])).ok()) {
@@ -471,6 +460,7 @@ void BM_TopicIngestSharded(benchmark::State& state) {
         return;
       }
     }
+    const uint64_t adopted_before = topic.stats().adopted_templates;
     // Pre-build the batches so the timed region is ingest only.
     std::vector<std::vector<std::string>> batches;
     for (int b = 0; b < kBatches; ++b) {
@@ -488,20 +478,15 @@ void BM_TopicIngestSharded(benchmark::State& state) {
       benchmark::DoNotOptimize(topic.IngestBatch(std::move(batch)));
     }
     state.PauseTiming();
-    const TopicStats stats = topic.stats();
-    for (const ShardStats& s : stats.shards) adopted += s.adopted;
-    merges += stats.shard_merges;
+    adopted += topic.stats().adopted_templates - adopted_before;
     state.ResumeTiming();
   }
-  const double iters = static_cast<double>(state.iterations());
-  state.counters["shard_adopted"] =
-      benchmark::Counter(static_cast<double>(adopted) / iters);
-  state.counters["shard_merges"] =
-      benchmark::Counter(static_cast<double>(merges) / iters);
+  state.counters["adopted"] = benchmark::Counter(
+      static_cast<double>(adopted) / static_cast<double>(state.iterations()));
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(kBatch * kBatches));
 }
-BENCHMARK(BM_TopicIngestSharded)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_TopicIngestAdoptHeavy);
 
 std::string BenchStorageDir() {
   static int counter = 0;

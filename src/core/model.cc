@@ -220,26 +220,6 @@ void TemplateModel::MergeFrom(const TemplateModel& incoming,
   }
 }
 
-std::vector<TemplateId> TemplateModel::MergeTemporariesFrom(
-    TemplateModel* pending, size_t first, size_t count) {
-  std::vector<TemplateId> ids;
-  std::vector<TreeNode>& nodes = pending->nodes_;
-  if (first >= nodes.size()) return ids;
-  const size_t end = count >= nodes.size() - first ? nodes.size()
-                                                   : first + count;
-  ids.reserve(end - first);
-  for (size_t i = first; i < end; ++i) {
-    // AddNode interns the token texts into this model's table; the
-    // pending model's private ids/table never leak across. The token
-    // strings move — the pending node keeps only its interned ids,
-    // which is all its matcher reads.
-    ids.push_back(AddNode(kInvalidTemplateId, nodes[i].saturation,
-                          std::move(nodes[i].tokens), nodes[i].support,
-                          /*temporary=*/true));
-  }
-  return ids;
-}
-
 std::string TemplateModel::Serialize() const {
   std::string out;
   ByteWriter w(&out);

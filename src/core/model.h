@@ -104,23 +104,6 @@ class TemplateModel {
   /// children/roots (§3 "The newly trained model is merged...").
   void MergeFrom(const TemplateModel& incoming, double similarity_threshold);
 
-  /// Bulk counterpart of AdoptTemporary for the sharded ingest path:
-  /// adopts the nodes of `pending` (a shard-local model of temporary
-  /// roots with its OWN TokenTable) starting at 0-based node index
-  /// `first`, re-interning every token into THIS model's table. Returns
-  /// the new ids in pending-node order, so the caller can remap
-  /// shard-local assignments to published ids. `count` bounds how many
-  /// nodes are taken (SIZE_MAX = all remaining). The folded nodes'
-  /// token strings are MOVED out of `pending` (adoption is on the
-  /// ingest hot path; the pending copy is never rendered again — its
-  /// matcher works on interned ids). No similarity matching: pendings
-  /// are adopted verbatim, exactly as online adoption at first miss
-  /// would have — similarity reconciliation belongs to the next
-  /// training cycle (MergeFrom), not the fold.
-  std::vector<TemplateId> MergeTemporariesFrom(TemplateModel* pending,
-                                               size_t first,
-                                               size_t count = SIZE_MAX);
-
   /// Serialized byte size (the "Model Size" column of Table 5).
   std::string Serialize() const;
   static Result<TemplateModel> Deserialize(std::string_view bytes);

@@ -128,19 +128,6 @@ TemplateId ByteBrainParser::MatchOrAdopt(std::string_view log,
   return adopted_id;
 }
 
-std::vector<TemplateId> ByteBrainParser::FoldTemporaries(
-    TemplateModel* pending, size_t first, size_t count) {
-  std::vector<TemplateId> ids =
-      model_.MergeTemporariesFrom(pending, first, count);
-  if (ids.empty()) return ids;
-  if (matcher_ == nullptr) {
-    RebuildMatcher();
-  } else {
-    for (TemplateId id : ids) matcher_->Insert(*model_.node(id));
-  }
-  return ids;
-}
-
 Result<TemplateId> ByteBrainParser::ResolveAtThreshold(
     TemplateId id, double threshold) const {
   return model_.ResolveAtThreshold(id, threshold);

@@ -118,22 +118,6 @@ class ByteBrainParser {
   /// times).
   TemplateId MatchOrAdopt(std::string_view log, bool* adopted = nullptr);
 
-  /// Folds a shard-local pending model (temporary roots adopted during a
-  /// sharded ingest batch) into the live model, starting at 0-based
-  /// pending-node index `first`: each pending node is adopted as a
-  /// temporary of THIS model (tokens re-interned from the pending
-  /// model's private table) and inserted into the live matcher
-  /// incrementally (token strings move out of `pending`, see
-  /// TemplateModel::MergeTemporariesFrom). Returns the new ids in
-  /// pending-node order. Requires
-  /// the same exclusion as MatchOrAdopt's adopt path (the service calls
-  /// it only from the exclusive batch section). Callers are responsible
-  /// for only folding pendings whose miss verdict is still current —
-  /// i.e. the model is unchanged since the shard matched them; stale
-  /// pendings must go through MatchOrAdopt instead.
-  std::vector<TemplateId> FoldTemporaries(TemplateModel* pending, size_t first,
-                                          size_t count = SIZE_MAX);
-
   /// Query-time precision adjustment (§3 "Query").
   Result<TemplateId> ResolveAtThreshold(TemplateId id,
                                         double threshold) const;

@@ -4,7 +4,6 @@
 
 #include "core/token_table.h"
 #include "core/variable_replacer.h"
-#include "util/hashing.h"
 
 namespace bytebrain {
 
@@ -109,9 +108,7 @@ constexpr std::array<bool, 256> kVarStart = BuildVarStartTable();
 }  // namespace
 
 // The fused replace+tokenize scan, parameterized over what consumes each
-// finished token: the online matcher wants interned ids, the sharded
-// ingest router wants a sequence hash. One loop, two sinks — the token
-// boundaries MUST stay bit-identical between them.
+// finished token (TokenizeReplacedIdsInto wants interned ids).
 template <typename Sink>
 void ScanReplacedTokens(std::string_view raw, std::string* mixed_buf,
                         Sink&& sink) {
@@ -203,17 +200,6 @@ void TokenizeReplacedIdsInto(std::string_view raw, const TokenTable& table,
       ids->push_back(table.Lookup(text));
     }
   });
-}
-
-uint64_t HashReplacedTokens(std::string_view raw, std::string* mixed_buf) {
-  // Order-sensitive fold of the per-token fast hashes. These values
-  // only ever meet other HashReplacedTokens values (routing/dedup
-  // keys), so the cheap combine is fine.
-  uint64_t h = kTokenSeqFastSeed;
-  ScanReplacedTokens(raw, mixed_buf, [&h](std::string_view text) {
-    h = CombineTokenHashFast(h, text);
-  });
-  return h;
 }
 
 Result<RegexTokenizer> RegexTokenizer::Create(

@@ -53,14 +53,6 @@ void TokenizeReplacedIdsInto(std::string_view raw, const TokenTable& table,
                              std::string* mixed_buf,
                              std::vector<uint32_t>* ids);
 
-/// Same fused scan, reduced to a 64-bit hash of the replaced token
-/// sequence (an order-sensitive fold of HashBytesFast per token): the
-/// content key the sharded ingest path deduplicates and routes on.
-/// Equals hashing the tokens of ReplaceInto + TokenizeDefaultInto, but
-/// in one pass with no intermediate strings. Same precondition as
-/// TokenizeReplacedIdsInto: the replacer must report fused_fast_path().
-uint64_t HashReplacedTokens(std::string_view raw, std::string* mixed_buf);
-
 /// Tokenizer driven by a user-supplied delimiter regex: every match of
 /// `delimiter` is a separator. Used for tenant-specific tokenization
 /// rules; slower than the scanner but fully customizable.

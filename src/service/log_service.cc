@@ -9,9 +9,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "core/tokenizer.h"
 #include "regex/regex.h"
-#include "util/hashing.h"
 #include "util/timer.h"
 
 namespace bytebrain {
@@ -87,12 +85,6 @@ ManagedTopic::ManagedTopic(std::string name, TopicConfig config)
       config_(std::move(config)),
       topic_(name_, EffectiveStorage(config_)),
       parser_(config_.parser_options) {
-  const int num_shards = std::clamp(config_.num_ingest_shards, 1, 64);
-  shards_.reserve(num_shards);
-  for (int i = 0; i < num_shards; ++i) {
-    shards_.push_back(std::make_unique<IngestShard>());
-  }
-  shard_count_.store(shards_.size(), std::memory_order_relaxed);
   for (const auto& [rule_name, pattern] : config_.variable_rules) {
     // Invalid tenant rules are skipped rather than poisoning the topic;
     // the compile error is surfaced through the parser's API when added
@@ -153,10 +145,7 @@ void ManagedTopic::RecoverFromStorage() {
   for (auto& [seq, text] : unknown) {
     bool adopted = false;
     const TemplateId id = parser_.MatchOrAdopt(text, &adopted);
-    if (adopted) {
-      ++model_generation_;
-      PublishAdoptedLocked(id);
-    }
+    if (adopted) PublishAdoptedLocked(id);
     (void)topic_.AssignTemplate(seq, id);
   }
 }
@@ -189,106 +178,47 @@ ManagedTopic::~ManagedTopic() {
 
 Result<uint64_t> ManagedTopic::Ingest(std::string text,
                                       uint64_t timestamp_us) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  auto result =
-      IngestOneLocked(std::move(text), timestamp_us, kInvalidTemplateId);
-  lock.unlock();
-  // Group-commit durability wait, deliberately off-lock (the WAL commit
-  // thread coalesces concurrent waiters into one fsync; holding mu_
-  // here would serialize them). A failure went sticky into
-  // storage_status() inside WaitDurable — the ack still stands
-  // (fail-soft, same as an append IO error), so the result is ignored.
-  (void)topic_.WaitDurable();
-  MaybeFlushStorageCheckpoint();
-  return result;
+  std::vector<std::string> texts;
+  texts.push_back(std::move(text));
+  auto seqs = IngestTexts(texts, std::span<const uint64_t>(&timestamp_us, 1));
+  BB_RETURN_IF_ERROR(seqs.status());
+  return seqs.value()[0];
 }
-
-Result<uint64_t> ManagedTopic::IngestOneLocked(std::string text,
-                                               uint64_t timestamp_us,
-                                               TemplateId prematched) {
-  LogRecord record;
-  record.timestamp_us = timestamp_us;
-  record.text = std::move(text);
-
-  // Online matching happens before the record lands so the template id
-  // is indexed together with the text (§3 "Online Matching"). A single
-  // MatchOrAdopt reports adoption directly — the old probe-then-adopt
-  // dance matched every record up to three times.
-  if (trained_) {
-    bool adopted = false;
-    if (prematched != kInvalidTemplateId) {
-      record.template_id = prematched;
-    } else {
-      record.template_id = parser_.MatchOrAdopt(record.text, &adopted);
-    }
-    ++stats_.matched_online;
-    if (adopted) {
-      // An adopted template (saturation 1.0) can shadow lower-saturation
-      // matches for later logs; ids prematched before it existed are no
-      // longer authoritative.
-      ++model_generation_;
-      PublishAdoptedLocked(record.template_id);
-    }
-  }
-
-  bytes_since_training_ += record.text.size();
-  ++records_since_training_;
-  stats_.ingested_bytes += record.text.size();
-  ++stats_.ingested_records;
-  const uint64_t seq = topic_.Append(std::move(record));
-
-  BB_RETURN_IF_ERROR(MaybeTrainLocked());
-  return seq;
-}
-
-namespace {
-// Materializes one batch text into an owned record string: owned
-// strings MOVE (the pre-view behaviour, no extra copy), borrowed views
-// copy exactly once — the only materialization the view ingest path
-// pays.
-std::string TakeText(std::string& text) { return std::move(text); }
-std::string TakeText(std::string_view text) { return std::string(text); }
-}  // namespace
 
 Result<std::vector<uint64_t>> ManagedTopic::IngestBatch(
     std::vector<std::string> texts,
     const std::vector<uint64_t>& timestamps_us) {
-  if (!timestamps_us.empty() && timestamps_us.size() != texts.size()) {
-    return Status::InvalidArgument(
-        "timestamps_us must be empty or match texts in size");
-  }
-  if (texts.empty()) return std::vector<uint64_t>();
-  // Path choice off the atomic mirror: shards_ itself may be resized
-  // by a concurrent UpdateConfig and is only readable under mu_.
-  if (shard_count_.load(std::memory_order_relaxed) > 1) {
-    return IngestBatchSharded(std::move(texts), timestamps_us);
-  }
-  return IngestBatchUnsharded(std::move(texts), timestamps_us);
+  return IngestTexts(texts, timestamps_us);
 }
 
 Result<std::vector<uint64_t>> ManagedTopic::IngestBatch(
     const std::vector<std::string_view>& texts,
     const std::vector<uint64_t>& timestamps_us) {
+  return IngestTexts(texts, timestamps_us);
+}
+
+namespace {
+// Materializes one batch text into an owned record string: owned
+// strings MOVE (no extra copy), borrowed views copy exactly once — the
+// only materialization the view ingest path pays.
+std::string TakeText(std::string& text) { return std::move(text); }
+std::string TakeText(std::string_view text) { return std::string(text); }
+}  // namespace
+
+template <typename TextVec>
+Result<std::vector<uint64_t>> ManagedTopic::IngestTexts(
+    TextVec& texts, std::span<const uint64_t> timestamps_us) {
   if (!timestamps_us.empty() && timestamps_us.size() != texts.size()) {
     return Status::InvalidArgument(
         "timestamps_us must be empty or match texts in size");
   }
-  if (texts.empty()) return std::vector<uint64_t>();
-  if (shard_count_.load(std::memory_order_relaxed) > 1) {
-    return IngestBatchSharded(texts, timestamps_us);
-  }
-  return IngestBatchUnsharded(texts, timestamps_us);
-}
-
-template <typename TextVec>
-Result<std::vector<uint64_t>> ManagedTopic::IngestBatchUnsharded(
-    TextVec texts, const std::vector<uint64_t>& timestamps_us) {
   std::vector<uint64_t> seqs;
+  if (texts.empty()) return seqs;
   seqs.reserve(texts.size());
 
-  // Phase 1 (shared lock): shard-parallel matching against the current
-  // model. Queries and other batches' match phases proceed concurrently;
-  // only the adoption/append section below excludes them.
+  // Phase 1 (shared lock): match the batch against the current model.
+  // Queries and other batches' match phases proceed concurrently; only
+  // the adoption/append section below excludes them.
   std::vector<TemplateId> prematched;
   uint64_t generation = 0;
   {
@@ -312,354 +242,56 @@ Result<std::vector<uint64_t>> ManagedTopic::IngestBatchUnsharded(
         !prematched.empty() && generation == model_generation_;
     const TemplateId hint =
         prematch_valid ? prematched[i] : kInvalidTemplateId;
-    auto seq = IngestOneLocked(TakeText(texts[i]),
-                               timestamps_us.empty() ? 0 : timestamps_us[i],
-                               hint);
-    BB_RETURN_IF_ERROR(seq.status());
-    seqs.push_back(seq.value());
+    seqs.push_back(IngestOneLocked(TakeText(texts[i]),
+                                   timestamps_us.empty() ? 0 : timestamps_us[i],
+                                   hint));
   }
   lock.unlock();
-  // Off-lock group-commit wait: one amortized fsync covers this batch
-  // (and any concurrent ones). Failure degrades sticky, never fails the
-  // batch — see Ingest.
+  // Group-commit durability wait, deliberately off-lock: the WAL commit
+  // thread coalesces concurrent waiters into one fsync, and holding mu_
+  // here would serialize them. A failure went sticky into
+  // storage_status() inside WaitDurable — the ack still stands
+  // (fail-soft, same as an append IO error), so the result is ignored.
   (void)topic_.WaitDurable();
   MaybeFlushStorageCheckpoint();
   return seqs;
 }
 
-template <typename TextVec>
-Result<std::vector<uint64_t>> ManagedTopic::IngestBatchSharded(
-    TextVec texts, const std::vector<uint64_t>& timestamps_us) {
-  // Resolved under the shared lock below: a live reshard (UpdateConfig)
-  // holds the exclusive lock to swap shards_, so the size read here and
-  // every shards_[i] touched by this batch's shard phase are from ONE
-  // consistent shard set. The later exclusive section revalidates via
-  // the generation (a reshard bumps it) before touching shard state.
-  size_t num_shards = 0;
+uint64_t ManagedTopic::IngestOneLocked(std::string text, uint64_t timestamp_us,
+                                       TemplateId prematched) {
+  LogRecord record;
+  record.timestamp_us = timestamp_us;
+  record.text = std::move(text);
 
-  // Batch-local dedup groups, one per distinct replaced token sequence.
-  // Grouping is what the content-hash routing buys: duplicates colocate,
-  // so every distinct shape is matched once per batch, not once per
-  // record — and a shard adopts each novel shape exactly once.
-  struct Group {
-    uint32_t rep = 0;       // index of the representative record
-    uint32_t members = 0;   // records sharing this shape
-    uint64_t bytes = 0;     // raw bytes routed (shard counter)
-    uint32_t shard = 0;
-    uint64_t hash = 0;      // content hash (dedup + routing + memo key)
-    TemplateId resolved = kInvalidTemplateId;  // shared-model id
-    TemplateId local = kInvalidTemplateId;     // shard-pending id
-  };
-  std::vector<Group> groups;
-  std::vector<uint32_t> record_group(texts.size(), 0);
-  uint64_t gen0 = 0;
-
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    if (!trained_) {
-      // No model to route against yet; the bootstrap window takes the
-      // plain path (which also runs the initial training at its exact
-      // sequential trigger point).
-      lock.unlock();
-      return IngestBatchUnsharded(std::move(texts), timestamps_us);
+  // Online matching happens before the record lands so the template id
+  // is indexed together with the text (§3 "Online Matching"). A single
+  // MatchOrAdopt reports adoption directly — the old probe-then-adopt
+  // dance matched every record up to three times.
+  if (trained_) {
+    bool adopted = false;
+    if (prematched != kInvalidTemplateId) {
+      record.template_id = prematched;
+    } else {
+      record.template_id = parser_.MatchOrAdopt(record.text, &adopted);
     }
-    gen0 = model_generation_;
-    num_shards = shards_.size();
-
-    // -- Dedup level 1: collapse byte-identical records on a raw-bytes
-    // fast hash (an order of magnitude cheaper than any scan; exact
-    // duplicate lines are the dominant redundancy in real streams —
-    // the paper's Fig. 4). Records with equal 64-bit hashes are treated
-    // as identical — the same trust the training path places in hashes
-    // when it deduplicates the window (paper Eq. 1; util/hashing.h).
-    struct RawGroup {
-      uint32_t rep = 0;       // first record with this raw text
-      uint32_t members = 0;
-      uint64_t bytes = 0;
-      uint32_t group = 0;     // content-group index, filled below
-    };
-    std::vector<RawGroup> raw_groups;
-    std::vector<uint32_t> record_raw(texts.size(), 0);
-    {
-      std::unordered_map<uint64_t, uint32_t> by_raw;
-      by_raw.reserve(texts.size());
-      for (uint32_t i = 0; i < texts.size(); ++i) {
-        const uint64_t h = HashBytesFast(texts[i]);
-        auto [it, inserted] =
-            by_raw.emplace(h, static_cast<uint32_t>(raw_groups.size()));
-        if (inserted) {
-          RawGroup rg;
-          rg.rep = i;
-          raw_groups.push_back(rg);
-        }
-        RawGroup& rg = raw_groups[it->second];
-        ++rg.members;
-        rg.bytes += texts[i].size();
-        record_raw[i] = it->second;
-      }
-    }
-
-    // -- Dedup level 2: content hash of the replaced token sequence,
-    // computed once per raw-distinct text. This is what both groups
-    // variable-value duplicates ("port 80" vs "port 443" → one shape)
-    // and routes the shape to its shard.
-    const VariableReplacer& replacer = parser_.replacer();
-    const bool fused = replacer.fused_fast_path();
-    std::vector<uint64_t> content(raw_groups.size());
-    ParallelForShards(
-        raw_groups.size(), config_.num_threads, [&](size_t begin, size_t end) {
-          std::string scratch;
-          std::vector<std::string_view> tokens;
-          for (size_t i = begin; i < end; ++i) {
-            const auto& text = texts[raw_groups[i].rep];
-            if (fused) {
-              content[i] = HashReplacedTokens(text, &scratch);
-              continue;
-            }
-            // Tenant-rule topics: same hash, two passes.
-            replacer.ReplaceInto(text, &scratch);
-            tokens.clear();
-            TokenizeDefaultInto(scratch, &tokens);
-            uint64_t h = kTokenSeqFastSeed;
-            for (std::string_view t : tokens) {
-              h = CombineTokenHashFast(h, t);
-            }
-            content[i] = h;
-          }
-        });
-
-    // -- Content groups: one per distinct shape.
-    std::unordered_map<uint64_t, uint32_t> by_hash;
-    by_hash.reserve(raw_groups.size());
-    for (uint32_t r = 0; r < raw_groups.size(); ++r) {
-      RawGroup& rg = raw_groups[r];
-      auto [it, inserted] =
-          by_hash.emplace(content[r], static_cast<uint32_t>(groups.size()));
-      if (inserted) {
-        Group g;
-        g.rep = rg.rep;
-        g.shard = static_cast<uint32_t>(content[r] % num_shards);
-        g.hash = content[r];
-        groups.push_back(g);
-      }
-      rg.group = it->second;
-      Group& g = groups[it->second];
-      g.members += rg.members;
-      g.bytes += rg.bytes;
-    }
-    for (uint32_t i = 0; i < texts.size(); ++i) {
-      record_group[i] = raw_groups[record_raw[i]].group;
-    }
-
-    // -- Shard phase: each distinct shape is resolved by its shard, in
-    // parallel, still only SHARED on mu_: the shard's cross-batch memo
-    // first (a hit stamped with the current generation skips the shared
-    // matcher entirely — repeat shapes are the steady state), then the
-    // shared-model prematch, then the shard's pending matcher, and a
-    // genuine miss adopts into the shard-local pending model. Reading
-    // model_generation_ here is safe: writes happen only under the
-    // exclusive lock.
-    std::vector<std::vector<uint32_t>> shard_worklist(num_shards);
-    for (uint32_t g = 0; g < groups.size(); ++g) {
-      shard_worklist[groups[g].shard].push_back(g);
-    }
-    ParallelForShards(
-        num_shards, config_.num_threads, [&](size_t begin, size_t end) {
-          std::string replaced_scratch;
-          std::vector<std::string_view> view_scratch;
-          for (size_t s = begin; s < end; ++s) {
-            if (shard_worklist[s].empty()) continue;
-            IngestShard& shard = *shards_[s];
-            std::unique_lock<std::shared_mutex> shard_lock(shard.mu);
-            for (uint32_t g : shard_worklist[s]) {
-              Group& group = groups[g];
-              shard.counters.records += group.members;
-              shard.counters.bytes += group.bytes;
-              const auto memo_it = shard.memo.find(group.hash);
-              if (memo_it != shard.memo.end() &&
-                  memo_it->second.gen == gen0) {
-                // The shape was resolved under THIS generation before:
-                // its verdict cannot have changed (any adoption or swap
-                // bumps the generation and stales the entry).
-                group.resolved = memo_it->second.id;
-                ++shard.counters.memo_hits;
-                continue;
-              }
-              const auto& rep = texts[group.rep];
-              group.resolved = parser_.Match(rep);
-              if (group.resolved != kInvalidTemplateId) {
-                shard.memo[group.hash] = {group.resolved, gen0};
-                ++shard.counters.matched_shared;
-                continue;
-              }
-              if (!shard.pending.empty()) {
-                if (shard.pending_matcher == nullptr) {
-                  shard.pending_matcher = std::make_unique<TemplateMatcher>(
-                      shard.pending, &parser_.replacer());
-                }
-                group.local = shard.pending_matcher->Match(rep);
-                if (group.local != kInvalidTemplateId) {
-                  ++shard.counters.matched_pending;
-                  continue;
-                }
-              }
-              // Novel shape: adopt into the shard's pending model with
-              // the exact replaced token sequence online adoption would
-              // have used (one replace+tokenize per DISTINCT shape).
-              replacer.ReplaceInto(rep, &replaced_scratch);
-              view_scratch.clear();
-              TokenizeDefaultInto(replaced_scratch, &view_scratch);
-              std::vector<std::string> tokens(view_scratch.begin(),
-                                              view_scratch.end());
-              group.local = shard.pending.AdoptTemporary(std::move(tokens));
-              if (shard.pending_matcher != nullptr) {
-                shard.pending_matcher->Insert(
-                    *shard.pending.node(group.local));
-              }
-              shard.reps.emplace_back(rep);
-              shard.gens.push_back(gen0);
-              shard.hashes.push_back(group.hash);
-              ++shard.counters.adopted;
-            }
-          }
-        });
+    ++stats_.matched_online;
+    if (adopted) PublishAdoptedLocked(record.template_id);
   }
 
-  // Exclusive section: fold pendings into the shared model, then append
-  // every record in input order with its resolved id.
-  std::vector<uint64_t> seqs;
-  seqs.reserve(texts.size());
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  // Anything that changed the model since the shared phase — a training
-  // swap, a single-record adoption, another batch's fold — invalidates
-  // the prematch verdicts AND can have dropped the pending ids (a
-  // training reset). Fold first (stale pendings re-match inside), then
-  // fall back to per-record matching under the lock, exactly like the
-  // unsharded path does on generation mismatch.
-  const bool stale = model_generation_ != gen0;
-  FoldShardPendingsLocked();
-  if (stale) {
-    for (size_t i = 0; i < texts.size(); ++i) {
-      auto seq = IngestOneLocked(TakeText(texts[i]),
-                                 timestamps_us.empty() ? 0 : timestamps_us[i],
-                                 kInvalidTemplateId);
-      BB_RETURN_IF_ERROR(seq.status());
-      seqs.push_back(seq.value());
-    }
-    lock.unlock();
-    (void)topic_.WaitDurable();
-    MaybeFlushStorageCheckpoint();
-    return seqs;
-  }
-  // Lean append: every record already has a resolved id, so stats are
-  // bulked and the store is appended under ONE lock. The training
-  // triggers are evaluated once, after the batch — on the sharded path
-  // the batch is the unit of ingest, so the snapshot window simply lands
-  // on a batch boundary instead of mid-batch.
-  std::vector<LogRecord> records;
-  records.reserve(texts.size());
-  uint64_t batch_bytes = 0;
-  for (size_t i = 0; i < texts.size(); ++i) {
-    const Group& g = groups[record_group[i]];
-    LogRecord record;
-    record.timestamp_us = timestamps_us.empty() ? 0 : timestamps_us[i];
-    record.text = TakeText(texts[i]);
-    record.template_id = g.resolved != kInvalidTemplateId
-                             ? g.resolved
-                             : shards_[g.shard]->remap[g.local - 1];
-    batch_bytes += record.text.size();
-    records.push_back(std::move(record));
-  }
-  const uint64_t first_seq = topic_.AppendBatch(std::move(records));
-  for (size_t i = 0; i < texts.size(); ++i) seqs.push_back(first_seq + i);
-  stats_.matched_online += texts.size();
-  stats_.ingested_records += texts.size();
-  stats_.ingested_bytes += batch_bytes;
-  bytes_since_training_ += batch_bytes;
-  records_since_training_ += texts.size();
-  BB_RETURN_IF_ERROR(MaybeTrainLocked());
-  lock.unlock();
-  // Off-lock group-commit wait (see Ingest): sharded batches from
-  // concurrent callers coalesce into one WAL fsync here.
-  (void)topic_.WaitDurable();
-  MaybeFlushStorageCheckpoint();
-  return seqs;
-}
-
-void ManagedTopic::FoldShardPendingsLocked() {
-  // One generation snapshot for the whole fold: adoptions below do not
-  // re-stale the remaining pendings, because shapes within and across
-  // shards are pairwise distinct by construction (hash routing within a
-  // batch, pending_matcher dedup across batches). The bump lands once,
-  // at the end — staleness checks test equality, not counts.
-  const uint64_t fold_gen = model_generation_;
-  bool adopted_any = false;
-  // Fold cursor per shard before this fold; entries the fold resolves
-  // below are memoized afterwards with the POST-fold generation.
-  std::vector<size_t> fold_starts(shards_.size(), 0);
-  for (size_t si = 0; si < shards_.size(); ++si) {
-    IngestShard& shard = *shards_[si];
-    std::unique_lock<std::shared_mutex> shard_lock(shard.mu);
-    const size_t total = shard.pending.size();
-    size_t next = shard.remap.size();
-    fold_starts[si] = next;
-    if (next >= total) continue;
-    ++shard.counters.merges;
-    ++stats_.shard_merges;
-    while (next < total) {
-      if (shard.gens[next] == fold_gen) {
-        // The shared model is unchanged since these shapes missed it:
-        // adopt the whole same-generation run verbatim.
-        size_t run = next;
-        while (run < total && shard.gens[run] == fold_gen) ++run;
-        std::vector<TemplateId> ids =
-            parser_.FoldTemporaries(&shard.pending, next, run - next);
-        for (TemplateId id : ids) {
-          shard.remap.push_back(id);
-          PublishAdoptedLocked(id);
-        }
-        adopted_any = true;
-        next = run;
-        continue;
-      }
-      // Adopted against an older model: its shape may exist by now
-      // (another batch's fold, a single-record adoption) — re-match the
-      // raw representative, adopting only on a genuine miss.
-      bool adopted = false;
-      const TemplateId id = parser_.MatchOrAdopt(shard.reps[next], &adopted);
-      shard.remap.push_back(id);
-      if (adopted) {
-        adopted_any = true;
-        PublishAdoptedLocked(id);
-      }
-      ++next;
-    }
-    // Folded entries' raw representative copies are dead (only the
-    // stale-fold path above reads them, never below the cursor) —
-    // release the text without disturbing the id-aligned indexing.
-    for (size_t i = 0; i < shard.remap.size(); ++i) {
-      if (!shard.reps[i].empty()) {
-        std::string().swap(shard.reps[i]);
-      }
-    }
-  }
-  if (adopted_any) ++model_generation_;
-  // Memoize the fold results under the final generation: the next
-  // batch that routes one of these shapes here resolves it from the
-  // memo without touching the shared matcher. (A fold that adopted
-  // nothing left the generation unchanged — the stamps are current
-  // either way.)
-  for (size_t si = 0; si < shards_.size(); ++si) {
-    IngestShard& shard = *shards_[si];
-    if (fold_starts[si] >= shard.remap.size()) continue;
-    std::unique_lock<std::shared_mutex> shard_lock(shard.mu);
-    for (size_t i = fold_starts[si]; i < shard.remap.size(); ++i) {
-      shard.memo[shard.hashes[i]] = {shard.remap[i], model_generation_};
-    }
-  }
+  bytes_since_training_ += record.text.size();
+  ++records_since_training_;
+  stats_.ingested_bytes += record.text.size();
+  ++stats_.ingested_records;
+  const uint64_t seq = topic_.Append(std::move(record));
+  MaybeTrainLocked();
+  return seq;
 }
 
 void ManagedTopic::PublishAdoptedLocked(TemplateId id) {
+  // An adopted template (saturation 1.0) can shadow lower-saturation
+  // matches for later logs; ids prematched before it existed are no
+  // longer authoritative.
+  ++model_generation_;
   ++stats_.adopted_templates;
   // Publish the adopted template's metadata immediately so queries can
   // display it before the next training cycle.
@@ -670,42 +302,26 @@ void ManagedTopic::PublishAdoptedLocked(TemplateId id) {
   }
 }
 
-void ManagedTopic::ResetShardsLocked() {
-  for (std::unique_ptr<IngestShard>& shard_ptr : shards_) {
-    IngestShard& shard = *shard_ptr;
-    std::unique_lock<std::shared_mutex> shard_lock(shard.mu);
-    shard.pending = TemplateModel();
-    shard.pending_matcher.reset();
-    shard.reps.clear();
-    shard.gens.clear();
-    shard.hashes.clear();
-    shard.remap.clear();
-    // Memo entries reference superseded ids AND a superseded
-    // generation; dropping them beats letting every lookup miss on the
-    // stamp.
-    shard.memo.clear();
-  }
-}
-
-Status ManagedTopic::MaybeTrainLocked() {
+void ManagedTopic::MaybeTrainLocked() {
   const bool first_training_due =
       !trained_ && records_since_training_ >= config_.initial_train_records;
   const bool retrain_due =
       trained_ && (bytes_since_training_ >= config_.train_volume_bytes ||
                    records_since_training_ >= config_.train_interval_records);
-  if (!first_training_due && !retrain_due) return Status::OK();
+  if (!first_training_due && !retrain_due) return;
   if (training_in_flight_) {
     // Coalesce: the running cycle's commit re-checks the (still
     // accumulating) counters and schedules one follow-up for the whole
     // backlog instead of queueing a run per trigger.
     ++stats_.coalesced_triggers;
-    return Status::OK();
+    return;
   }
   const bool synchronous =
       !config_.async_training ||
       (first_training_due && config_.sync_initial_training);
-  if (synchronous) return TrainSyncLocked();
-  return ScheduleAsyncTrainingLocked();
+  const Status trained =
+      synchronous ? TrainSyncLocked() : ScheduleAsyncTrainingLocked();
+  if (!trained.ok()) ++stats_.failed_trainings;
 }
 
 Status ManagedTopic::TrainNow() {
@@ -715,6 +331,7 @@ Status ManagedTopic::TrainNow() {
   // race ours), then train inline.
   train_done_cv_.wait(lock, [this] { return !training_in_flight_; });
   const Status trained = TrainSyncLocked();
+  if (!trained.ok()) ++stats_.failed_trainings;
   lock.unlock();
   MaybeFlushStorageCheckpoint();
   return trained;
@@ -815,7 +432,6 @@ Status ManagedTopic::TrainSyncLocked() {
       PrepareTrainingGuarded(&run, &assignments, /*invoke_hook=*/false);
   if (!prepared.ok()) {
     training_in_flight_ = false;
-    ++stats_.failed_trainings;
     train_done_cv_.notify_all();
     return prepared.status();
   }
@@ -843,7 +459,6 @@ Status ManagedTopic::ScheduleAsyncTrainingLocked() {
     // snapshot set training_in_flight_, which MUST not leak out set or
     // no training would ever run again and waiters would sleep forever.
     training_in_flight_ = false;
-    ++stats_.failed_trainings;
     train_done_cv_.notify_all();
     return Status::ResourceExhausted(
         std::string("cannot schedule background training: ") + e.what());
@@ -878,17 +493,18 @@ void ManagedTopic::RunAsyncTraining(TrainingRun run) {
     } else {
       Timer swap_timer;
       // Once CommitTrainingLocked runs, the swap has happened: the cycle
-      // counts as an (async) training regardless of the cannot-really-fail
-      // re-assignment statuses inside.
-      (void)CommitTrainingLocked(run, std::move(prepared).value(), assignments,
-                                 train_seconds);
+      // counts as an (async) training even when a stored-id re-assignment
+      // failed, which also counts it as failed.
+      const Status committed = CommitTrainingLocked(
+          run, std::move(prepared).value(), assignments, train_seconds);
+      if (!committed.ok()) ++stats_.failed_trainings;
       stats_.last_swap_seconds = swap_timer.ElapsedSeconds();
       ++stats_.async_trainings;
     }
     // Triggers that fired while we trained were coalesced; if their volume
     // is still due, run ONE follow-up cycle for the whole backlog. The
     // destructor suppresses this so shutdown drains.
-    if (!shutting_down_) (void)MaybeTrainLocked();
+    if (!shutting_down_) MaybeTrainLocked();
   } catch (...) {
     // Allocation failure mid-commit or mid-reschedule. Leave the topic
     // schedulable and visibly account the breakage rather than letting
@@ -909,8 +525,8 @@ Status ManagedTopic::CommitTrainingLocked(
     const TrainingRun& run, PreparedRetrain prepared,
     const std::vector<TemplateId>& assignments, double train_seconds) {
   // Clear the in-flight state first so every return path (including the
-  // cannot-really-fail AssignTemplate errors below) leaves the topic
-  // able to schedule its next cycle.
+  // storage errors of the re-assignment below) leaves the topic able to
+  // schedule its next cycle.
   training_in_flight_ = false;
   train_done_cv_.notify_all();
 
@@ -919,10 +535,6 @@ Status ManagedTopic::CommitTrainingLocked(
   // (b) Generation bump: ids prematched (IngestBatch) or assigned online
   // against the superseded model are no longer authoritative.
   ++model_generation_;
-  // Shard pendings are temporaries, and the swap just superseded every
-  // temporary: drop them. In-flight sharded batches detect the bump and
-  // fall back to matching under the lock, so no pending id dangles.
-  ResetShardsLocked();
   trained_ = true;
   ++stats_.trainings;
   stats_.last_training_seconds = train_seconds;
@@ -1187,13 +799,6 @@ TopicStats ManagedTopic::stats() const {
   snapshot.wal_group_commits = topic_.wal_group_commits();
   snapshot.wal_fsyncs = topic_.wal_fsyncs();
   snapshot.wal_replayed_records = topic_.wal_replayed_records();
-  snapshot.shards.reserve(shards_.size());
-  for (const std::unique_ptr<IngestShard>& shard : shards_) {
-    // Shard counters are written under the shard's exclusive lock while
-    // mu_ is only shared; the shard's shared mode makes this read clean.
-    std::shared_lock<std::shared_mutex> shard_lock(shard->mu);
-    snapshot.shards.push_back(shard->counters);
-  }
   return snapshot;
 }
 
@@ -1371,24 +976,7 @@ Status ManagedTopic::UpdateConfig(const TopicConfigPatch& patch) {
   TopicConfig patched = config_;
   ApplyPatch(patch, &patched);
   BB_RETURN_IF_ERROR(ValidateTopicKnobs(patched));
-  const bool reshard =
-      patch.num_ingest_shards &&
-      static_cast<size_t>(*patch.num_ingest_shards) != shards_.size();
   config_ = std::move(patched);
-  if (reshard) {
-    // Live reshard. Fold the current pendings first so every remap an
-    // in-flight batch may reference is complete, then rebuild the shard
-    // set and bump the generation: any batch that routed against the
-    // old shards detects the bump in its exclusive section and falls
-    // back to per-record matching — no pending id ever dangles.
-    FoldShardPendingsLocked();
-    shards_.clear();
-    for (int i = 0; i < *patch.num_ingest_shards; ++i) {
-      shards_.push_back(std::make_unique<IngestShard>());
-    }
-    shard_count_.store(shards_.size(), std::memory_order_relaxed);
-    ++model_generation_;
-  }
   return Status::OK();
 }
 

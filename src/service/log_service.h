@@ -25,6 +25,7 @@
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -77,20 +78,9 @@ struct TopicConfig {
   /// UpdateConfig applies from the next run on; the trained model does
   /// not depend on it.
   int num_threads = 2;
-  /// Ingest shards for IngestBatch (clamped to [1, 64]). 1 keeps the
-  /// single exclusive adopt/append section per batch. With N > 1, batch
-  /// records are deduplicated and routed to N sub-shards by a stable
-  /// hash of their variable-replaced token sequence (duplicates
-  /// colocate); shards match misses against — and adopt novel shapes
-  /// into — shard-local pending models in parallel under the SHARED
-  /// topic lock, and the batch's exclusive section folds the pending
-  /// temporaries into the shared model before any record is appended, so
-  /// queries and training snapshots always see one coherent model.
-  /// Caveat: all records of a batch are matched against the batch-start
-  /// model plus their own shard's pendings, so a temporary adopted late
-  /// in a batch never shadows an earlier record's match the way a
-  /// strictly sequential replay could; the difference is confined to
-  /// temporaries and is reconciled at the next training cycle.
+  /// Accepted for compatibility and has no effect: range-checked to
+  /// [1, 64] and reported back by config(), but every batch takes the
+  /// one ingest path (IngestBatch). Kept because it is a wire field.
   int num_ingest_shards = 1;
   /// Run triggered (re)trainings on a background thread and swap the new
   /// model in atomically, so ingest is never blocked for the duration of
@@ -133,10 +123,8 @@ struct TopicConfigPatch {
   std::optional<uint64_t> initial_train_records;
   std::optional<uint64_t> max_train_records;
   std::optional<int> num_threads;
-  /// Applied as a live reshard: current shard pendings are folded into
-  /// the shared model under the exclusive lock before the shard set is
-  /// rebuilt (in-flight batches detect the generation bump and fall
-  /// back to per-record matching, so no pending id dangles).
+  /// Stored and validated like TopicConfig::num_ingest_shards; no
+  /// effect on ingest.
   std::optional<int> num_ingest_shards;
   std::optional<bool> async_training;
 };
@@ -150,24 +138,15 @@ struct TemplateGroup {
   std::vector<uint64_t> sequence_numbers;
 };
 
-/// Per-ingest-shard counters (cumulative since topic creation).
+/// Per-ingest-shard counters of the removed sharded ingest path. Kept
+/// as a wire type for compatibility: TopicStats::shards is always empty.
 struct ShardStats {
-  /// Records routed to this shard by the content hash.
   uint64_t records = 0;
   uint64_t bytes = 0;
-  /// Distinct shapes this shard resolved via the shared-model prematch.
   uint64_t matched_shared = 0;
-  /// Distinct shapes resolved by this shard's own pending temporaries.
   uint64_t matched_pending = 0;
-  /// Temporary templates this shard adopted locally.
   uint64_t adopted = 0;
-  /// Fold operations that moved this shard's pendings into the shared
-  /// model (at most one per batch that routed novel shapes here).
   uint64_t merges = 0;
-  /// Distinct shapes resolved by the shard's cross-batch memo (content
-  /// hash → template id, generation-stamped) without touching the
-  /// shared matcher at all — the steady-state fast path for repeat
-  /// shapes across batches.
   uint64_t memo_hits = 0;
 };
 
@@ -196,15 +175,20 @@ struct TopicStats {
   /// Trigger evaluations absorbed by an already-in-flight training; the
   /// backlog is handled by one coalesced follow-up run at commit time.
   uint64_t coalesced_triggers = 0;
-  /// Training runs that ended in an error (model left unchanged).
+  /// Training cycles (triggered, manual or background) that ended in an
+  /// error. Usually the model is left unchanged; a commit whose stored-id
+  /// re-assignment hit a storage error leaves the new model live, with
+  /// the affected records' stored ids stale until the next training or
+  /// restart. A triggered training's error is reported only here: it
+  /// never fails the ingest that tripped it.
   uint64_t failed_trainings = 0;
   /// Exclusive-lock time of the last async commit (swap + re-assign) —
   /// the only part of an async training ingest ever waits on.
   double last_swap_seconds = 0.0;
-  // --- sharded ingest ---
-  /// One entry per ingest shard (size == effective num_ingest_shards).
+  // --- sharded ingest (wire compatibility only) ---
+  /// Always empty: ingest is not sharded.
   std::vector<ShardStats> shards;
-  /// Total shard-pending → shared-model folds across all shards.
+  /// Always 0.
   uint64_t shard_merges = 0;
   // --- storage ---
   /// True when the topic's records survive restarts (disk backend).
@@ -353,29 +337,25 @@ class ManagedTopic {
 
   /// Appends a record; assigns a template id online (adopting a temporary
   /// template on a miss). Returns the record's sequence number.
-  /// Locking: takes `mu_` exclusive for the duration of one match+append.
+  /// A batch of one: locking as IngestBatch.
   /// May train: only when a trigger fires AND the synchronous path
   /// applies (async_training off, or the initial training with
   /// sync_initial_training on); otherwise a trigger merely snapshots and
   /// schedules — this call never waits for a training run.
   Result<uint64_t> Ingest(std::string text, uint64_t timestamp_us = 0);
 
-  /// Batch ingestion, the high-throughput path: matching runs
-  /// shard-parallel under a SHARED lock (concurrent with queries and
-  /// other batches' match phases), then a single EXCLUSIVE section
-  /// adopts misses, appends, updates stats, and checks the training
-  /// triggers — one lock handoff per batch instead of one per record.
-  /// If a training swap or an adoption lands mid-batch, the remaining
-  /// prematched ids are discarded and those records are re-matched under
-  /// the lock, so results are identical to calling Ingest in a loop.
-  /// `timestamps_us` is optional; when non-empty it must have one entry
-  /// per text. Returns the records' sequence numbers in order.
-  /// With `num_ingest_shards` > 1 the batch is deduplicated and routed
-  /// to sub-shards by content hash: misses adopt into shard-local
-  /// pending models in parallel while the topic lock is only SHARED,
-  /// and the exclusive section folds the pendings into the shared model
-  /// before appending (see the TopicConfig knob for the semantics
-  /// caveat).
+  /// Batch ingestion, the high-throughput path: the batch is matched
+  /// against the current model under a SHARED lock (concurrent with
+  /// queries and other batches' match phases), then a single EXCLUSIVE
+  /// section adopts misses, appends, updates stats, and checks the
+  /// training triggers — one lock handoff per batch instead of one per
+  /// record. If a training swap or an adoption lands mid-batch, the
+  /// remaining prematched ids are discarded and those records are
+  /// re-matched under the lock, so results are identical to calling
+  /// Ingest in a loop. `timestamps_us` is optional; when non-empty it
+  /// must have one entry per text. Returns the records' sequence numbers
+  /// in order; once the texts are accepted every record is stored and
+  /// acknowledged (a training the batch trips cannot fail it).
   /// Locking: shared for the match phase, exclusive for the rest; the
   /// training-trigger rules of Ingest apply.
   Result<std::vector<uint64_t>> IngestBatch(
@@ -442,10 +422,7 @@ class ManagedTopic {
   /// TopicConfigPatch enumerates). The RESULTING config is validated
   /// with ValidateTopicConfig — the same rule set CreateTopic enforces
   /// — before anything is applied (InvalidArgument names the offending
-  /// field, nothing applied on failure). A num_ingest_shards change
-  /// folds the current shard pendings into the shared model and
-  /// rebuilds the shard set (per-shard counters restart at zero).
-  /// Locking: exclusive.
+  /// field, nothing applied on failure). Locking: exclusive.
   Status UpdateConfig(const TopicConfigPatch& patch);
 
   /// Marks (or unmarks) the topic's persistent storage for deletion:
@@ -550,52 +527,6 @@ class ManagedTopic {
   std::string SerializedModel() const;
 
  private:
-  /// One ingest sub-shard (TopicConfig::num_ingest_shards > 1). A shard
-  /// owns the temporaries adopted for novel shapes routed to it since
-  /// the last fold: a private TemplateModel whose OWN TokenTable means
-  /// parallel shard adoption never touches the table the live matcher
-  /// reads, plus an incrementally maintained matcher over it.
-  ///
-  /// Locking: `mu` is taken EXCLUSIVE by the batch match/adopt phase
-  /// (which holds the topic lock SHARED) and SHARED by stats(). The
-  /// topic-exclusive sections (fold, training commit) take it exclusive
-  /// too, though holding `mu_` exclusive already excludes every
-  /// shard-phase holder. Lock order: `mu_` before `shard.mu`, always.
-  struct IngestShard {
-    mutable std::shared_mutex mu;
-    /// Shard-adopted temporaries. Never cleared by folds (concurrent
-    /// batches may still hold pending ids); reset only when a training
-    /// commit supersedes all temporaries.
-    TemplateModel pending;
-    std::unique_ptr<TemplateMatcher> pending_matcher;
-    /// Per pending node (index = local id - 1): the raw representative
-    /// text, the model generation at adopt time, and the content hash
-    /// that routed the shape here. A pending adopted under an older
-    /// generation is re-MATCHED at fold time instead of adopted
-    /// verbatim — the shared model may have gained its shape meanwhile
-    /// (another batch's fold, a single-record adopt).
-    std::vector<std::string> reps;
-    std::vector<uint64_t> gens;
-    std::vector<uint64_t> hashes;
-    /// Shared-model ids of folded pendings (index = local id - 1); its
-    /// size is the fold cursor — nodes beyond it await the next fold.
-    std::vector<TemplateId> remap;
-    /// Cross-batch memo: content hash → shared-model id, stamped with
-    /// the model generation it was resolved under. A hit whose stamp
-    /// equals the batch-start generation skips the shared-matcher
-    /// prematch entirely (the PR-3 "remaining nicety"); entries go
-    /// stale on any generation bump and are refreshed on next resolve.
-    /// Written by the shard phase (shard.mu exclusive) and by folds
-    /// (topic lock exclusive); cleared with the pendings on training
-    /// commits.
-    struct MemoEntry {
-      TemplateId id = kInvalidTemplateId;
-      uint64_t gen = 0;
-    };
-    std::unordered_map<uint64_t, MemoEntry> memo;
-    ShardStats counters;
-  };
-
   /// One scheduled training cycle: everything the background thread
   /// needs, snapshotted under the lock so the thread never touches live
   /// state while training. The window [window_begin, snapshot_size)
@@ -630,8 +561,10 @@ class ManagedTopic {
   /// Trigger check; requires the exclusive lock. Routes to the sync or
   /// async path; while a training is in flight, due triggers only count
   /// `coalesced_triggers` (the commit re-checks and schedules one
-  /// follow-up for the whole backlog).
-  Status MaybeTrainLocked();
+  /// follow-up for the whole backlog). A failure is counted in
+  /// `failed_trainings`, never returned: the records that tripped the
+  /// trigger are already stored.
+  void MaybeTrainLocked();
   /// Copies the training window and clones the model; resets the
   /// volume/record counters (the ONE place they reset, shared by
   /// triggered and manual trainings) and marks a training in flight.
@@ -666,37 +599,20 @@ class ManagedTopic {
   /// checks training triggers for one record. Requires the exclusive
   /// lock. `prematched` of kInvalidTemplateId means "match under the
   /// lock".
-  Result<uint64_t> IngestOneLocked(std::string text, uint64_t timestamp_us,
-                                   TemplateId prematched);
-  /// The num_ingest_shards == 1 batch path (prematch under the shared
-  /// lock, one exclusive per-record adopt/append section) — also the
-  /// fallback the sharded path takes before the first training.
-  /// Templated over the text container (owned std::strings are moved
-  /// into records, borrowed std::string_views are materialized once);
-  /// both instantiations live in log_service.cc.
+  uint64_t IngestOneLocked(std::string text, uint64_t timestamp_us,
+                           TemplateId prematched);
+  /// The body of both IngestBatch overloads (and so of Ingest): prematch
+  /// under the shared lock, one exclusive per-record adopt/append
+  /// section, then the off-lock durability wait. Templated over the text
+  /// container: owned std::strings are moved into records, borrowed
+  /// std::string_views are materialized once.
   template <typename TextVec>
-  Result<std::vector<uint64_t>> IngestBatchUnsharded(
-      TextVec texts, const std::vector<uint64_t>& timestamps_us);
-  /// The num_ingest_shards > 1 batch path: dedup + route by content
-  /// hash, shard-parallel match/adopt under the shared lock, one
-  /// exclusive fold/append section. See ARCHITECTURE.md §4. Templated
-  /// like IngestBatchUnsharded.
-  template <typename TextVec>
-  Result<std::vector<uint64_t>> IngestBatchSharded(
-      TextVec texts, const std::vector<uint64_t>& timestamps_us);
-  /// Folds every shard's unfolded pending temporaries into the shared
-  /// model, extending each shard's remap. Pendings adopted at the
-  /// current model generation are adopted verbatim (their miss verdict
-  /// is still current); stale ones go through MatchOrAdopt. Requires the
+  Result<std::vector<uint64_t>> IngestTexts(
+      TextVec& texts, std::span<const uint64_t> timestamps_us);
+  /// Counts a just-adopted temporary, bumps the model generation (the
+  /// adoption can shadow ids prematched against the older model) and
+  /// publishes its metadata to the internal topic. Requires the
   /// exclusive lock.
-  void FoldShardPendingsLocked();
-  /// Drops all shard pending state (a committed training superseded
-  /// every temporary). Requires the exclusive lock.
-  void ResetShardsLocked();
-  /// Counts a just-adopted temporary and publishes its metadata to the
-  /// internal topic. Does NOT bump the generation (callers differ: the
-  /// online path bumps per adoption, a fold bumps once per fold).
-  /// Requires the exclusive lock.
   void PublishAdoptedLocked(TemplateId id);
   /// Writes the model blob a training commit staged (if any) into the
   /// storage manifest. The fsyncs run OUTSIDE `mu_` — the exclusive
@@ -706,18 +622,6 @@ class ManagedTopic {
 
   std::string name_;
   TopicConfig config_;
-  /// Ingest shards (size == clamped num_ingest_shards); unique_ptr
-  /// because shared_mutex is immovable. Empty state between batches is
-  /// NOT guaranteed: pendings persist until a training resets them.
-  /// Resized ONLY by UpdateConfig under the exclusive lock; every read
-  /// of the vector itself must hold `mu_` (shared suffices).
-  std::vector<std::unique_ptr<IngestShard>> shards_;
-  /// Lock-free mirror of shards_.size() for IngestBatch's path choice
-  /// (sharded vs plain). May be momentarily stale across a live
-  /// reshard — harmless: both paths are correct for any actual shard
-  /// count, and the sharded path re-reads the real size under the
-  /// shared lock before routing.
-  std::atomic<size_t> shard_count_{1};
   LogTopic topic_;
   InternalTopic internal_;
   ByteBrainParser parser_;

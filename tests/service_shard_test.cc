@@ -1,10 +1,10 @@
-// Sharded-ingest tests: a topic with num_ingest_shards > 1 must produce
-// the same observable end state as the single-shard path on the same
-// input — same template shapes, same grouping — while routing duplicate
-// shapes to one shard, folding shard-local temporaries into the shared
-// model before any record is queryable, and composing with asynchronous
-// retraining. The concurrency cases are deterministic (gate hook, no
-// sleeps on assertion paths) and TSAN-clean.
+// Topics configured with num_ingest_shards > 1: the knob is accepted for
+// compatibility and selects nothing, so these topics take the one batch
+// path and must end in the same observable state as a single-shard
+// topic on the same input — same template shapes, same grouping —
+// including under concurrent queries, concurrent batches and
+// asynchronous retraining. The concurrency cases are deterministic (gate
+// hook, no sleeps on assertion paths) and TSAN-clean.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,12 +16,9 @@
 #include <thread>
 #include <vector>
 
-#include "core/tokenizer.h"
-#include "core/variable_replacer.h"
 #include "datagen/generator.h"
 #include "eval/metrics.h"
 #include "service/log_service.h"
-#include "util/hashing.h"
 
 namespace bytebrain {
 namespace {
@@ -174,160 +171,6 @@ TEST(ShardedIngestTest, AdoptedTemplateSetMatchesUnsharded) {
   EXPECT_EQ(GroupingAccuracy(plain, shard), 1.0);
 }
 
-// Duplicate colocation: all copies of a shape hash to one shard, so each
-// novel shape is adopted by exactly one shard and re-sending the same
-// shapes adopts nothing new (the folded temporaries are now part of the
-// shared model and are hit by the prematch).
-TEST(ShardedIngestTest, DuplicatesColocateAndFoldOnce) {
-  ManagedTopic topic("sharded", ShardConfig(4));
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(topic.Ingest(SshLog(i)).ok());
-  }
-  ASSERT_TRUE(topic.trained());
-  const uint64_t adopted_before = topic.stats().adopted_templates;
-
-  constexpr int kShapes = 12;
-  constexpr int kDups = 8;
-  std::vector<std::string> batch;
-  for (int dup = 0; dup < kDups; ++dup) {
-    for (int shape = 0; shape < kShapes; ++shape) {
-      batch.push_back(NovelLog(shape, /*dup=*/0));  // exact duplicates
-    }
-  }
-  ASSERT_TRUE(topic.IngestBatch(batch).ok());
-
-  TopicStats stats = topic.stats();
-  ASSERT_EQ(stats.shards.size(), 4u);
-  uint64_t routed = 0;
-  uint64_t adopted = 0;
-  uint64_t merges = 0;
-  for (const ShardStats& s : stats.shards) {
-    routed += s.records;
-    adopted += s.adopted;
-    merges += s.merges;
-  }
-  EXPECT_EQ(routed, batch.size());
-  // Exactly one adoption per distinct shape, across all shards together.
-  EXPECT_EQ(adopted, static_cast<uint64_t>(kShapes));
-  EXPECT_EQ(stats.adopted_templates - adopted_before,
-            static_cast<uint64_t>(kShapes));
-  EXPECT_GE(merges, 1u);
-  EXPECT_EQ(stats.shard_merges, merges);
-
-  // All duplicates of a shape share one template id.
-  std::map<std::string, std::set<TemplateId>> ids_by_text;
-  ASSERT_TRUE(topic
-                  .ScanRecords(200, topic.size(),
-                               [&](uint64_t, const LogRecord& rec) {
-                                 ids_by_text[rec.text].insert(rec.template_id);
-                               })
-                  .ok());
-  ASSERT_EQ(ids_by_text.size(), static_cast<size_t>(kShapes));
-  for (const auto& [text, ids] : ids_by_text) {
-    EXPECT_EQ(ids.size(), 1u) << text;
-    EXPECT_NE(*ids.begin(), kInvalidTemplateId) << text;
-  }
-
-  // Same shapes again: everything is a shared-model hit now.
-  ASSERT_TRUE(topic.IngestBatch(batch).ok());
-  stats = topic.stats();
-  uint64_t adopted_after = 0;
-  for (const ShardStats& s : stats.shards) adopted_after += s.adopted;
-  EXPECT_EQ(adopted_after, static_cast<uint64_t>(kShapes));
-}
-
-// Shard counters are observability: the unsharded topic reports its
-// single shard with untouched counters (the plain path never routes).
-TEST(ShardedIngestTest, UnshardedTopicReportsIdleShard) {
-  ManagedTopic topic("plain", ShardConfig(1));
-  for (int i = 0; i < 250; ++i) {
-    ASSERT_TRUE(topic.Ingest(SshLog(i)).ok());
-  }
-  ASSERT_TRUE(
-      topic.IngestBatch(std::vector<std::string>{SshLog(1), SshLog(2)}).ok());
-  const TopicStats stats = topic.stats();
-  ASSERT_EQ(stats.shards.size(), 1u);
-  EXPECT_EQ(stats.shards[0].records, 0u);
-  EXPECT_EQ(stats.shard_merges, 0u);
-}
-
-// The fused content hash (one-pass scan) and the two-pass tenant-rule
-// fallback must agree bit-for-bit: both paths of the router produce the
-// same dedup/routing keys for the same shapes.
-TEST(ShardedIngestTest, FusedHashMatchesTwoPassHash) {
-  const VariableReplacer replacer = VariableReplacer::Default();
-  ASSERT_TRUE(replacer.fused_fast_path());
-  const std::vector<std::string> samples = {
-      SshLog(3),
-      NovelLog(7, 2),
-      "",
-      "10.0.0.1",
-      "mixed-1a2b3c4d5e6f7a8b9c0d1a2b3c4d5e6f token  double  space",
-  };
-  std::string scratch;
-  for (const std::string& s : samples) {
-    const uint64_t fused = HashReplacedTokens(s, &scratch);
-    std::string replaced;
-    replacer.ReplaceInto(s, &replaced);
-    std::vector<std::string_view> tokens;
-    TokenizeDefaultInto(replaced, &tokens);
-    uint64_t two_pass = kTokenSeqFastSeed;
-    for (std::string_view t : tokens) {
-      two_pass = CombineTokenHashFast(two_pass, t);
-    }
-    EXPECT_EQ(fused, two_pass) << s;
-  }
-}
-
-// Topics with tenant variable rules cannot use the fused scan; the
-// two-pass hash branch must still collapse variable-value duplicates
-// (here the rule-replaced request id) into one shape per shard.
-TEST(ShardedIngestTest, TenantRuleTopicsDedupOnTwoPassHash) {
-  TopicConfig config = ShardConfig(4);
-  config.variable_rules.emplace_back("reqid", "req-[0-9]+");
-  ManagedTopic topic("sharded", config);
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(topic.Ingest(SshLog(i)).ok());
-  }
-  ASSERT_TRUE(topic.trained());
-
-  constexpr int kShapes = 6;
-  std::vector<std::string> batch;
-  for (int dup = 0; dup < 8; ++dup) {
-    for (int shape = 0; shape < kShapes; ++shape) {
-      batch.push_back("gateway" + std::to_string(shape) +
-                      " timeout handling req-" + std::to_string(dup * 97) +
-                      " retry scheduled");
-    }
-  }
-  ASSERT_TRUE(topic.IngestBatch(batch).ok());
-
-  const TopicStats stats = topic.stats();
-  uint64_t adopted = 0;
-  uint64_t routed = 0;
-  for (const ShardStats& s : stats.shards) {
-    adopted += s.adopted;
-    routed += s.records;
-  }
-  EXPECT_EQ(routed, batch.size());
-  // One adoption per shape: the rule collapsed every req-<n> variant.
-  EXPECT_EQ(adopted, static_cast<uint64_t>(kShapes));
-  // Each shape's records share one template id.
-  std::map<std::string, std::set<TemplateId>> ids_by_shape;
-  ASSERT_TRUE(topic
-                  .ScanRecords(200, topic.size(),
-                               [&](uint64_t, const LogRecord& rec) {
-                                 ids_by_shape[rec.text.substr(0, 8)].insert(
-                                     rec.template_id);
-                               })
-                  .ok());
-  ASSERT_EQ(ids_by_shape.size(), static_cast<size_t>(kShapes));
-  for (const auto& [shape, ids] : ids_by_shape) {
-    EXPECT_EQ(ids.size(), 1u) << shape;
-    EXPECT_NE(*ids.begin(), kInvalidTemplateId) << shape;
-  }
-}
-
 // Folds happen in the batch's exclusive section while queries hold the
 // shared lock: a query must never observe a record whose template id it
 // cannot resolve (pendings are invisible until folded, and records are
@@ -467,92 +310,6 @@ TEST(ShardedIngestTest, ShardingComposesWithAsyncRetrain) {
   EXPECT_EQ(stats.failed_trainings, 0u);
   EXPECT_EQ(stats.ingested_records, topic.size());
   for (uint64_t id : RecordAssignments(topic)) {
-    EXPECT_NE(id, kInvalidTemplateId);
-  }
-}
-
-// Cross-batch shape memo: a shape resolved once by a shard (matched
-// against the shared model or folded into it) is served from the
-// shard's hash → id memo on later batches, skipping the shared-matcher
-// prematch entirely — while the end state stays identical to the
-// unsharded path.
-TEST(ShardedIngestTest, ShardMemoSkipsPrematchAcrossBatches) {
-  ManagedTopic unsharded("plain", ShardConfig(1));
-  ManagedTopic sharded("sharded", ShardConfig(4));
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(unsharded.Ingest(SshLog(i)).ok());
-    ASSERT_TRUE(sharded.Ingest(SshLog(i)).ok());
-  }
-  ASSERT_TRUE(sharded.trained());
-
-  constexpr int kShapes = 12;
-  auto make_batch = [] {
-    std::vector<std::string> batch;
-    for (int dup = 0; dup < 8; ++dup) {
-      for (int shape = 0; shape < kShapes; ++shape) {
-        batch.push_back(NovelLog(shape, dup));
-      }
-    }
-    // Repeat trained shapes too: their memo entries come from the
-    // matched-shared path rather than a fold.
-    for (int i = 0; i < 16; ++i) batch.push_back(SshLog(i));
-    return batch;
-  };
-
-  // Batch 1: novel shapes adopt + fold (fold memoizes the new ids
-  // under the post-fold generation); trained shapes memoize on match.
-  ASSERT_TRUE(unsharded.IngestBatch(make_batch()).ok());
-  ASSERT_TRUE(sharded.IngestBatch(make_batch()).ok());
-  auto memo_hits = [](const ManagedTopic& topic) {
-    uint64_t hits = 0;
-    for (const ShardStats& s : topic.stats().shards) hits += s.memo_hits;
-    return hits;
-  };
-  const uint64_t hits_after_first = memo_hits(sharded);
-
-  // Batches 2 and 3 re-route the same shapes to the same shards (the
-  // content hash is stable): every distinct shape is a memo hit — the
-  // generation has not moved since the fold — and nothing re-adopts.
-  for (int round = 0; round < 2; ++round) {
-    ASSERT_TRUE(unsharded.IngestBatch(make_batch()).ok());
-    ASSERT_TRUE(sharded.IngestBatch(make_batch()).ok());
-  }
-  const TopicStats stats = sharded.stats();
-  uint64_t adopted = 0;
-  for (const ShardStats& s : stats.shards) adopted += s.adopted;
-  EXPECT_EQ(adopted, static_cast<uint64_t>(kShapes));
-  // Each repeat batch resolves kShapes novel + trained shapes from the
-  // memo: two full repeat rounds = at least 2 * kShapes hits.
-  EXPECT_GE(memo_hits(sharded) - hits_after_first,
-            static_cast<uint64_t>(2 * kShapes));
-
-  // End state identical to the unsharded path, memo or no memo.
-  EXPECT_EQ(TemplateTexts(unsharded), TemplateTexts(sharded));
-  const auto plain = RecordAssignments(unsharded);
-  const auto shard = RecordAssignments(sharded);
-  ASSERT_EQ(plain.size(), shard.size());
-  EXPECT_EQ(GroupingAccuracy(plain, shard), 1.0);
-  // All copies of a shape across all three batches share ONE id.
-  std::map<std::string, std::set<TemplateId>> ids_by_text;
-  ASSERT_TRUE(sharded
-                  .ScanRecords(200, sharded.size(),
-                               [&](uint64_t, const LogRecord& rec) {
-                                 ids_by_text[rec.text].insert(rec.template_id);
-                               })
-                  .ok());
-  for (const auto& [text, ids] : ids_by_text) {
-    EXPECT_EQ(ids.size(), 1u) << text;
-  }
-
-  // A training commit invalidates the memo (ids + generation are
-  // superseded): the next batch must re-resolve, not serve stale ids.
-  ASSERT_TRUE(sharded.TrainNow().ok());
-  const uint64_t hits_before_post = memo_hits(sharded);
-  ASSERT_TRUE(sharded.IngestBatch(make_batch()).ok());
-  EXPECT_EQ(memo_hits(sharded), hits_before_post);  // all misses, re-memoized
-  ASSERT_TRUE(sharded.IngestBatch(make_batch()).ok());
-  EXPECT_GT(memo_hits(sharded), hits_before_post);  // memo warm again
-  for (uint64_t id : RecordAssignments(sharded)) {
     EXPECT_NE(id, kInvalidTemplateId);
   }
 }

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "logstore/disk_backend.h"
+#include "logstore/fault_injection.h"
 #include "logstore/log_topic.h"
 #include "service/log_service.h"
 
@@ -642,6 +643,56 @@ TEST(ServiceStorageTest, LargeWindowSnapshotReadsSealedViaMmap) {
   // The training itself succeeded over the mapped window.
   EXPECT_GE(stats.trainings, 2u);
   EXPECT_GT(stats.num_templates, 0u);
+}
+
+// A training that a batch trips runs after the batch's earlier records
+// are stored; its failure must not fail the batch. Here the synchronous
+// initial training's re-assignment of sealed records hits an injected
+// pwrite error: every record is still stored and acknowledged, and the
+// error shows in the stats.
+TEST(ServiceStorageTest, TrainingCommitWriteErrorDoesNotFailIngest) {
+  std::vector<std::string> batch;
+  for (int i = 0; i < 300; ++i) batch.push_back(ServiceLog(i));
+
+  // The fault schedule counts every file op (writes, fsyncs, pwrites).
+  // A topic that never trains counts the ops the 200 records up to the
+  // training trigger cost; the training commit's first op, a pwrite of
+  // a sealed record's template id, is the next one.
+  uint64_t ops_before_training = 0;
+  {
+    TempDir probe_dir;
+    FaultInjectingFileOps probe_ops;
+    TopicConfig probe = DiskTopicConfig(probe_dir.path());
+    probe.initial_train_records = 1u << 30;
+    probe.storage.file_ops = &probe_ops;
+    ManagedTopic topic("probe", probe);
+    ASSERT_TRUE(topic
+                    .IngestBatch(std::vector<std::string>(batch.begin(),
+                                                          batch.begin() + 200))
+                    .ok());
+    ops_before_training = probe_ops.ops_seen();
+  }
+
+  TempDir dir;
+  FaultSchedule schedule;
+  schedule.fail_pwrite_at = ops_before_training + 1;
+  FaultInjectingFileOps ops(schedule);
+  TopicConfig config = DiskTopicConfig(dir.path());
+  config.storage.file_ops = &ops;
+  ManagedTopic topic("t", config);
+  ASSERT_TRUE(topic.StorageStatus().ok());
+  auto seqs = topic.IngestBatch(batch);
+  ASSERT_TRUE(seqs.ok()) << seqs.status().ToString();
+  ASSERT_EQ(seqs.value().size(), batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) EXPECT_EQ(seqs.value()[i], i);
+  EXPECT_EQ(topic.size(), batch.size());
+
+  const TopicStats stats = topic.stats();
+  EXPECT_TRUE(topic.trained());
+  EXPECT_EQ(stats.trainings, 1u);
+  EXPECT_EQ(stats.failed_trainings, 1u);
+  EXPECT_EQ(stats.ingested_records, batch.size());
+  EXPECT_GT(stats.storage_sealed_segments, 0u);
 }
 
 // Disk-backed concurrency: batches, queries, and an async retrain all
